@@ -1,4 +1,4 @@
-"""Tuple vs interned vs vectorized cores: the representation ablations.
+"""Interned core vs tuple reference core: the representation ablation.
 
 The interning layer compiles control states and stack symbols to dense
 integer ids, replaces dict-of-tuple rule lookup with per-state packed
@@ -10,28 +10,15 @@ pre-interning implementation preserved in :mod:`repro.pda.reference`),
 with compilation excluded from the timing so the delta is attributable
 to the representation alone.
 
-On top of that ablation sits the vectorized (generation-batched numpy)
-core. It is measured on the verdict/weight workload —
-``want_witness=False``, which is what bulk sweeps and the probabilistic
-farm issue by the hundreds — because witness extraction re-solves on the
-interned core by design and would double-charge reachable instances.
-Per-generation numpy dispatch is a fixed cost, so the vectorized core
-loses on sub-millisecond instances and wins where saturation dominates;
-the committed headline (``BENCH_vectorized.json``) is therefore the
-median over the *saturation-heavy* slice (interned verdict solve >=
-``HEAVY_THRESHOLD_SECONDS``), with the full table — losses included —
-recorded alongside it.
-
-Correctness is part of the measurement: for every instance all cores'
-verdict, weight and (where requested) reconstructed witness trace must
-be byte-identical — a speedup from a diverging solver would be
-meaningless.
+Correctness is part of the measurement: for every instance the two
+cores' verdict, weight and reconstructed witness trace must be
+byte-identical — a speedup from a diverging solver would be meaningless.
 
 Run standalone::
 
     python -m benchmarks.bench_interning           # full sweep + JSON dumps
     python -m benchmarks.bench_interning --quick   # CI perf smoke (exits 1
-                                                   # on a perf regression)
+                                                   # if interned is slower)
 """
 
 from __future__ import annotations
@@ -60,30 +47,16 @@ BASELINE_PATH = os.path.join(
     "BENCH_interning.json",
 )
 
-#: Committed headline for the vectorized core (see module docstring).
-VECTORIZED_BASELINE_PATH = os.path.join(
-    os.path.dirname(BASELINE_PATH), "BENCH_vectorized.json"
-)
-
 QUICK_NETWORKS = ("example", "nordunet")
 QUICK_QUERIES = 3
 
-#: An instance counts as saturation-heavy when the interned verdict
-#: solve takes at least this long; below it, fixed numpy dispatch
-#: overhead dominates and batching cannot pay for itself.
-HEAVY_THRESHOLD_SECONDS = 0.002
 
-
-def _solve_digest(
-    compiled, core: str, want_witness: bool = True
-) -> Tuple[str, float]:
+def _solve_digest(compiled, core: str) -> Tuple[str, float]:
     """Solve one compiled instance; returns (answer digest, seconds).
 
     The digest covers verdict, weight and the reconstructed witness
     trace rendered symbolically — byte-equality of digests is
-    byte-equality of user-visible answers. With ``want_witness=False``
-    (the vectorized-core workload) the digest covers verdict and
-    weight, which is everything such a solve exposes.
+    byte-equality of user-visible answers.
     """
     start = time.perf_counter()
     outcome = solve_reachability(
@@ -92,11 +65,10 @@ def _solve_digest(
         compiled.initial,
         compiled.target,
         core=core,
-        want_witness=want_witness,
     )
     seconds = time.perf_counter() - start
     trace_text = ""
-    if want_witness and outcome.reachable and outcome.rules:
+    if outcome.reachable and outcome.rules:
         trace_text = str(trace_from_rules(compiled, outcome.rules))
     digest = f"{outcome.reachable}|{outcome.weight}|{trace_text}"
     return digest, seconds
@@ -140,38 +112,8 @@ def run(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, Any]:
                         f"  interned: {digests['interned']}\n"
                         f"  tuple:    {digests['tuple']}"
                     )
-
-                # Vectorized leg: verdict/weight solves (the bulk-sweep
-                # workload) for interned vs vectorized on the same
-                # compiled instance.
-                verdict_timings: Dict[str, List[float]] = {
-                    "interned": [],
-                    "vectorized": [],
-                }
-                verdict_digests: Dict[str, str] = {}
-                for _ in range(repeats):
-                    for core in ("interned", "vectorized"):
-                        digest, seconds = _solve_digest(
-                            compiled, core, want_witness=False
-                        )
-                        verdict_timings[core].append(seconds)
-                        previous = verdict_digests.setdefault(core, digest)
-                        if previous != digest:
-                            mismatches.append(
-                                f"{label}: {core} verdict solve is "
-                                "nondeterministic"
-                            )
-                if verdict_digests["interned"] != verdict_digests["vectorized"]:
-                    mismatches.append(
-                        f"{label}: verdict cores disagree\n"
-                        f"  interned:   {verdict_digests['interned']}\n"
-                        f"  vectorized: {verdict_digests['vectorized']}"
-                    )
-
                 interned_s = min(timings["interned"])
                 tuple_s = min(timings["tuple"])
-                interned_verdict_s = min(verdict_timings["interned"])
-                vectorized_s = min(verdict_timings["vectorized"])
                 instances.append(
                     {
                         "instance": label,
@@ -180,30 +122,11 @@ def run(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, Any]:
                         "speedup": round(tuple_s / interned_s, 3)
                         if interned_s > 0
                         else None,
-                        "interned_verdict_seconds": round(interned_verdict_s, 6),
-                        "vectorized_seconds": round(vectorized_s, 6),
-                        "vectorized_speedup": round(
-                            interned_verdict_s / vectorized_s, 3
-                        )
-                        if vectorized_s > 0
-                        else None,
                         "reachable": digests["interned"].split("|", 1)[0] == "True",
                     }
                 )
 
     speedups = [row["speedup"] for row in instances if row["speedup"] is not None]
-    vectorized_speedups = [
-        row["vectorized_speedup"]
-        for row in instances
-        if row["vectorized_speedup"] is not None
-    ]
-    heavy = [
-        row
-        for row in instances
-        if row["interned_verdict_seconds"] >= HEAVY_THRESHOLD_SECONDS
-        and row["vectorized_speedup"] is not None
-    ]
-    heavy_speedups = [row["vectorized_speedup"] for row in heavy]
     payload = {
         "benchmark": "interning",
         "mode": "quick" if quick else "full",
@@ -213,17 +136,6 @@ def run(quick: bool = False, repeats: Optional[int] = None) -> Dict[str, Any]:
         "median_speedup": round(statistics.median(speedups), 3) if speedups else None,
         "min_speedup": round(min(speedups), 3) if speedups else None,
         "max_speedup": round(max(speedups), 3) if speedups else None,
-        "vectorized": {
-            "workload": "verdict/weight solves (want_witness=False)",
-            "median_speedup_all": round(statistics.median(vectorized_speedups), 3)
-            if vectorized_speedups
-            else None,
-            "heavy_threshold_seconds": HEAVY_THRESHOLD_SECONDS,
-            "heavy_instance_count": len(heavy),
-            "median_speedup_heavy": round(statistics.median(heavy_speedups), 3)
-            if heavy_speedups
-            else None,
-        },
         "answers_identical": not mismatches,
         "mismatches": mismatches,
     }
@@ -250,7 +162,7 @@ if pytest is not None:
             for name in BENCH_QUERY_NAMES
         }
 
-    @pytest.mark.parametrize("core", ["interned", "tuple", "vectorized"])
+    @pytest.mark.parametrize("core", ["interned", "tuple"])
     @pytest.mark.parametrize("query_name", BENCH_QUERY_NAMES)
     def test_interning_ablation(benchmark, nordunet_compiled, query_name, core):
         compiled = nordunet_compiled[query_name]
@@ -278,30 +190,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     payload = run(quick=args.quick, repeats=args.repeats)
 
-    print(
-        f"{'instance':<45} {'tuple':>10} {'interned':>10} {'speedup':>8} "
-        f"{'int(v)':>10} {'vector':>10} {'speedup':>8}"
-    )
+    print(f"{'instance':<45} {'interned':>10} {'tuple':>10} {'speedup':>8}")
     for row in payload["instances"]:
         print(
-            f"{row['instance']:<45} {row['tuple_seconds']:>9.4f}s "
-            f"{row['interned_seconds']:>9.4f}s {row['speedup']:>7.2f}x "
-            f"{row['interned_verdict_seconds']:>9.4f}s "
-            f"{row['vectorized_seconds']:>9.4f}s "
-            f"{row['vectorized_speedup']:>7.2f}x"
+            f"{row['instance']:<45} {row['interned_seconds']:>9.4f}s "
+            f"{row['tuple_seconds']:>9.4f}s {row['speedup']:>7.2f}x"
         )
-    vec = payload["vectorized"]
     print(
-        f"\ninterned vs tuple median speedup: {payload['median_speedup']}x "
+        f"\nmedian speedup: {payload['median_speedup']}x "
         f"(min {payload['min_speedup']}x, max {payload['max_speedup']}x) "
         f"over {len(payload['instances'])} instances"
-    )
-    print(
-        f"vectorized vs interned (verdict solves): "
-        f"median {vec['median_speedup_all']}x over all instances; "
-        f"median {vec['median_speedup_heavy']}x over the "
-        f"{vec['heavy_instance_count']} saturation-heavy instances "
-        f"(interned >= {vec['heavy_threshold_seconds'] * 1e3:.0f}ms)"
     )
 
     if payload["mismatches"]:
@@ -318,58 +216,11 @@ def main(argv: Optional[List[str]] = None) -> int:
             handle.write("\n")
         print(f"baseline: {BASELINE_PATH}")
 
-        # The vectorized headline is its own committed artifact: the
-        # saturation-heavy median is the claim, the full table (small-
-        # instance losses included) is the evidence.
-        vectorized_payload = {
-            "benchmark": "vectorized",
-            "mode": payload["mode"],
-            "repeats": payload["repeats"],
-            "workload": vec["workload"],
-            "heavy_threshold_seconds": vec["heavy_threshold_seconds"],
-            "median_speedup_heavy": vec["median_speedup_heavy"],
-            "median_speedup_all": vec["median_speedup_all"],
-            "note": (
-                "Speedups are interned/vectorized wall time on verdict "
-                "solves (want_witness=False, the bulk-sweep workload). "
-                "Sub-millisecond instances lose to fixed per-generation "
-                "numpy dispatch; the headline is the median over "
-                "instances whose interned solve meets the heavy "
-                "threshold. Witnessed solves re-solve on the interned "
-                "core by design and are not counted."
-            ),
-            "instances": [
-                {
-                    "instance": row["instance"],
-                    "interned_seconds": row["interned_verdict_seconds"],
-                    "vectorized_seconds": row["vectorized_seconds"],
-                    "speedup": row["vectorized_speedup"],
-                    "heavy": row["interned_verdict_seconds"]
-                    >= HEAVY_THRESHOLD_SECONDS,
-                }
-                for row in payload["instances"]
-            ],
-            "answers_identical": payload["answers_identical"],
-        }
-        with open(VECTORIZED_BASELINE_PATH, "w", encoding="utf-8") as handle:
-            json.dump(vectorized_payload, handle, indent=2)
-            handle.write("\n")
-        print(f"baseline: {VECTORIZED_BASELINE_PATH}")
-
     if args.quick and payload["median_speedup"] is not None:
         if payload["median_speedup"] < 1.0:
             print(
                 f"PERF SMOKE FAILURE: interned core slower than the tuple "
                 f"reference (median speedup {payload['median_speedup']}x < 1.0x)",
-                file=sys.stderr,
-            )
-            return 1
-        heavy_median = vec["median_speedup_heavy"]
-        if heavy_median is not None and heavy_median < 1.0:
-            print(
-                f"PERF SMOKE FAILURE: vectorized core slower than interned "
-                f"on saturation-heavy instances (median speedup "
-                f"{heavy_median}x < 1.0x)",
                 file=sys.stderr,
             )
             return 1

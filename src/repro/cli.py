@@ -109,16 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(exit 0/1/2, lint-style), 'off' disables it (default)",
     )
     query.add_argument(
-        "--core",
-        choices=("interned", "tuple", "vectorized", "incremental"),
-        default="interned",
-        help="saturation core: 'interned' dense-integer worklist "
-        "(default), 'tuple' symbolic reference, 'vectorized' "
-        "generation-batched numpy kernel (falls back to interned when "
-        "numpy or a weight codec is unavailable), 'incremental' "
-        "delta-saturation across sweep variants",
-    )
-    query.add_argument(
         "--timeout", type=float, default=None, help="time budget in seconds"
     )
     query.add_argument(
@@ -363,7 +353,6 @@ def _make_engine(network: MplsNetwork, args: argparse.Namespace) -> Verification
         backend=_backend_of(args),
         use_reductions=not args.no_reductions,
         weight=args.weight,
-        core=args.core,
         triage=args.triage,
     )
 
@@ -453,7 +442,6 @@ def _run_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
         backend=_backend_of(args),
         use_reductions=not args.no_reductions,
         weight=args.weight,
-        core=args.core,
         triage=args.triage,
     )
     scenarios = failure_scenarios(
@@ -517,7 +505,6 @@ def _run_prob_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
         backend=_backend_of(args),
         use_reductions=not args.no_reductions,
         weight=args.weight,
-        core=args.core,
         triage=args.triage,
     )
     default = (

@@ -117,14 +117,3 @@ class FarmError(ReproError):
 class ProbError(ReproError):
     """A probabilistic what-if analysis was misconfigured (bad failure
     probabilities, oversized exhaustive enumeration, …)."""
-
-
-class NumpyFallbackWarning(RuntimeWarning):
-    """A numpy-accelerated path degraded to its pure-Python twin.
-
-    Emitted (with an obs counter alongside) when the vectorized
-    saturation core falls back to the interned core, or the incremental
-    core's integer rule diff falls back to symbolic diffs. Results are
-    identical either way — the warning exists so the performance
-    degradation is never silent.
-    """

@@ -53,21 +53,15 @@ class EngineConfig:
     #: Static triage mode ("auto" / "off" / "only"); settled scenarios
     #: skip compilation entirely on the worker.
     triage: str = "off"
-    #: Saturation core ("interned" / "tuple" / "vectorized" /
-    #: "incremental"). Part of
-    #: the config — and hence of the worker cache's engine slot — so
-    #: switching cores can never serve a result computed by another one.
-    core: str = "interned"
-    #: Content-hash key of the sweep's baseline network, required by the
-    #: incremental core: workers resolve it through the same artifact
-    #: cache as variant networks and share one saturated solver family
-    #: across all of the baseline's variant jobs.
-    baseline_key: Optional[str] = None
 
     @classmethod
     def from_engine(cls, engine: VerificationEngine) -> "EngineConfig":
         """Capture an engine's settings; raises :class:`FarmError` when
-        the engine carries state that cannot cross a process boundary."""
+        the engine carries state that cannot cross a process boundary.
+
+        The saturation core is not captured: workers always run the
+        interned core, whose answers the tuple core reproduces exactly.
+        """
         if engine.distance_of is not None:
             raise FarmError(
                 "engines with a custom distance_of callable cannot be "
@@ -82,12 +76,9 @@ class EngineConfig:
             early_termination=engine.early_termination,
             weight=weight,
             triage=engine.triage,
-            core=engine.core,
         )
 
-    def build(
-        self, network: MplsNetwork, baseline: Optional[MplsNetwork] = None
-    ) -> VerificationEngine:
+    def build(self, network: MplsNetwork) -> VerificationEngine:
         """Instantiate the configured engine for ``network``."""
         return VerificationEngine(
             network,
@@ -96,9 +87,6 @@ class EngineConfig:
             early_termination=self.early_termination,
             weight=self.weight,
             triage=self.triage,
-            core=self.core,
-            baseline=baseline,
-            baseline_key=self.baseline_key if baseline is not None else None,
         )
 
 
@@ -171,19 +159,9 @@ def execute_job(job: FarmJob) -> BatchItem:
     calls it inline.
     """
     network = _network_for(job.network_key)
-    baseline: Optional[MplsNetwork] = None
-    if job.config.baseline_key is not None:
-        # The baseline travels like any other network artifact; the
-        # worker resolves it once and every variant job shares the
-        # resulting saturated solver family.
-        baseline = _network_for(job.config.baseline_key)
-    if baseline is not None:
-        build = lambda: job.config.build(network, baseline)  # noqa: E731
-    else:
-        # Keep the no-baseline call unary: EngineConfig subclasses (and
-        # older pickled configs) override build(network) without it.
-        build = lambda: job.config.build(network)  # noqa: E731
-    engine = worker_cache().engine(job.network_key, job.config, build)
+    engine = worker_cache().engine(
+        job.network_key, job.config, lambda: job.config.build(network)
+    )
     # With a shared store attached, compiled queries of this network
     # variant are reusable across worker processes; the key names them.
     engine.attach_artifact_key(job.network_key)

@@ -356,7 +356,6 @@ def scenarios_to_jobs(
     scenarios: Sequence[Scenario],
     config: Optional["EngineConfig"] = None,
     timeout: Optional[float] = None,
-    baseline: Optional[MplsNetwork] = None,
 ) -> Tuple[List["FarmJob"], Dict[str, str], Dict[str, MplsNetwork]]:
     """Lower scenarios to the pool's job representation.
 
@@ -365,13 +364,6 @@ def scenarios_to_jobs(
     already-built network objects under the same keys (handed to forked
     workers for free). Scenarios sharing a network object serialize it
     once.
-
-    With ``config.core == "incremental"`` the sweep needs a baseline
-    network its variants are deltas of. Pass it as ``baseline``; when
-    omitted, the first failure-free scenario's network is used (every
-    sweep built with ``include_baseline=True`` has one), falling back to
-    the first scenario's network. The baseline is shipped to workers
-    like any other artifact and its key is pinned into the config.
     """
     from repro.farm.cache import hash_text
     from repro.farm.pool import EngineConfig, FarmJob
@@ -382,30 +374,15 @@ def scenarios_to_jobs(
     payloads: Dict[str, str] = {}
     prebuilt: Dict[str, MplsNetwork] = {}
     key_of: Dict[int, str] = {}
-
-    def register(network: MplsNetwork) -> str:
-        key = key_of.get(id(network))
-        if key is None:
-            payload = network_to_json(network)
-            key = hash_text(payload)
-            key_of[id(network)] = key
-            payloads[key] = payload
-            prebuilt[key] = network
-        return key
-
-    if config.core == "incremental" and config.baseline_key is None and scenarios:
-        if baseline is None:
-            baseline = next(
-                (s.network for s in scenarios if not s.failed_links),
-                scenarios[0].network,
-            )
-        config = replace(config, baseline_key=register(baseline))
-    elif baseline is not None:
-        register(baseline)
-
     jobs: List[FarmJob] = []
     for scenario in scenarios:
-        key = register(scenario.network)
+        key = key_of.get(id(scenario.network))
+        if key is None:
+            payload = network_to_json(scenario.network)
+            key = hash_text(payload)
+            key_of[id(scenario.network)] = key
+            payloads[key] = payload
+            prebuilt[key] = scenario.network
         jobs.append(
             FarmJob(
                 name=scenario.name,

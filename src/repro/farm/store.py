@@ -204,7 +204,7 @@ class SharedArtifactStore:
         return data.decode("utf-8"), built
 
     # ------------------------------------------------------------------
-    # pickled-object artifacts (compiled queries, saturated baselines)
+    # pickled-object artifacts (compiled queries)
     # ------------------------------------------------------------------
     def get_object(self, kind: str, key: str) -> Optional[Any]:
         """A stored pickled artifact, or None (also on a corrupt file)."""

@@ -44,8 +44,6 @@ class SolverStats:
     early_terminated: bool = False
     elapsed_seconds: float = 0.0
     reduction: Optional[ReductionReport] = None
-    #: Delta accounting when the incremental core answered (else None).
-    incremental: Optional[Any] = None
 
 
 @dataclass
@@ -81,49 +79,15 @@ def solve_reachability(
     generic model-checker strategy used by the Moped baseline).
 
     ``core`` selects the saturation implementation: ``"interned"`` (the
-    dense-integer-id engine, default), ``"tuple"`` (the symbolic
-    reference twin in :mod:`repro.pda.reference`), ``"incremental"``
-    (a fresh :class:`~repro.pda.incremental.IncrementalSolver` answering
-    from its fully saturated automaton — the conformance path for the
-    delta-saturation machinery; sweeps reuse solvers across variants via
-    :mod:`repro.verification.incremental` instead), or ``"vectorized"``
-    (the generation-batched numpy kernel of
-    :mod:`repro.pda.vectorized`, which falls back to the interned core —
-    with a :class:`~repro.errors.NumpyFallbackWarning` — when numpy or a
-    weight codec is unavailable). All four must produce identical
-    outcomes — the differential tests and the benchmarks rely on this
-    switch.
+    dense-integer-id engine, default) or ``"tuple"`` (the symbolic
+    reference twin in :mod:`repro.pda.reference`). Both must produce
+    identical outcomes — the differential tests and the interning
+    benchmark rely on this switch.
     """
     if method not in ("poststar", "prestar"):
         raise PdaError(f"unknown solver method {method!r}")
-    if core not in ("interned", "tuple", "incremental", "vectorized"):
+    if core not in ("interned", "tuple"):
         raise PdaError(f"unknown solver core {core!r}")
-    if core == "incremental":
-        return _solve_incremental(
-            pds,
-            semiring,
-            initial,
-            target,
-            method=method,
-            use_reductions=use_reductions,
-            early_termination=early_termination,
-            want_witness=want_witness,
-            max_steps=max_steps,
-            deadline=deadline,
-        )
-    if core == "vectorized":
-        return _solve_vectorized(
-            pds,
-            semiring,
-            initial,
-            target,
-            method=method,
-            use_reductions=use_reductions,
-            early_termination=early_termination,
-            want_witness=want_witness,
-            max_steps=max_steps,
-            deadline=deadline,
-        )
     interned = core == "interned"
     start_time = time.perf_counter()
     initial_state, initial_symbol = initial
@@ -189,239 +153,6 @@ def solve_reachability(
         early_terminated=result.early_terminated,
         elapsed_seconds=time.perf_counter() - start_time,
         reduction=reduction_report,
-    )
-    return ReachabilityOutcome(reachable, weight, rules, stats)
-
-
-def _solve_incremental(
-    pds: PushdownSystem,
-    semiring: Semiring,
-    initial: Tuple[State, Symbol],
-    target: Tuple[State, Symbol],
-    method: str,
-    use_reductions: bool,
-    early_termination: bool,
-    want_witness: bool,
-    max_steps: Optional[int],
-    deadline: Optional[float],
-) -> ReachabilityOutcome:
-    """One-shot incremental solve: the system is its own baseline.
-
-    This is the conformance path for ``core="incremental"`` — it
-    exercises the same answer extraction as sweep reuse, just without a
-    delta to apply.
-    """
-    from repro.pda.incremental import IncrementalSolver
-
-    start_time = time.perf_counter()
-    with obs.span("saturate", method=method):
-        solver = IncrementalSolver(
-            pds,
-            semiring,
-            initial,
-            target,
-            method=method,
-            max_steps=max_steps,
-            deadline=deadline,
-        )
-    return incremental_outcome(
-        solver,
-        pds,
-        use_reductions=use_reductions,
-        early_termination=early_termination,
-        want_witness=want_witness,
-        max_steps=max_steps,
-        deadline=deadline,
-        start_time=start_time,
-    )
-
-
-def _solve_vectorized(
-    pds: PushdownSystem,
-    semiring: Semiring,
-    initial: Tuple[State, Symbol],
-    target: Tuple[State, Symbol],
-    method: str,
-    use_reductions: bool,
-    early_termination: bool,
-    want_witness: bool,
-    max_steps: Optional[int],
-    deadline: Optional[float],
-) -> ReachabilityOutcome:
-    """Solve with the generation-batched numpy kernel.
-
-    Verdict and minimal weight come from the vectorized fixpoint, which
-    is digest-identical to the interned core's (saturation fixpoints are
-    unique — see DESIGN.md). Witness *traces* are equal-weight tie-break
-    artifacts of relaxation order, which a batched kernel does not
-    reproduce, so — exactly like the incremental core — a reachable
-    query that wants a witness re-solves with the interned core for
-    trace extraction (byte-identical traces by construction) and the two
-    weights are asserted equal. Unsupported setups (no numpy, exotic
-    semiring, non-integer weights) fall back to the interned core with a
-    :class:`~repro.errors.NumpyFallbackWarning` and an obs counter.
-    """
-    from repro.pda import vectorized
-
-    reason = vectorized.unsupported_reason(pds, semiring)
-    if reason is not None:
-        vectorized.fallback(reason)
-        return solve_reachability(
-            pds,
-            semiring,
-            initial,
-            target,
-            method=method,
-            use_reductions=use_reductions,
-            early_termination=early_termination,
-            want_witness=want_witness,
-            max_steps=max_steps,
-            deadline=deadline,
-            core="interned",
-        )
-    start_time = time.perf_counter()
-    initial_state, initial_symbol = initial
-    target_state, target_symbol = target
-
-    reduction_report: Optional[ReductionReport] = None
-    rule_indices = None
-    rules_after = pds.rule_count()
-    if use_reductions:
-        with obs.span("reduce"):
-            rule_indices, reduction_report = vectorized.reduce_rule_indices(
-                pds, initial_state, initial_symbol, target_state
-            )
-        rules_after = reduction_report.rules_after
-        if obs.enabled():
-            obs.add("pda.rules_removed", pds.rule_count() - rules_after)
-
-    with obs.span("saturate", method=method):
-        if method == "poststar":
-            result = vectorized.vectorized_poststar_single(
-                pds,
-                semiring,
-                initial_state,
-                initial_symbol,
-                target=(target_state, target_symbol) if early_termination else None,
-                max_steps=max_steps,
-                deadline=deadline,
-                rule_indices=rule_indices,
-            )
-            weight = result.head_weight(target_state, target_symbol)
-        else:
-            result = vectorized.vectorized_prestar_single(
-                pds,
-                semiring,
-                target_state,
-                target_symbol,
-                source=(initial_state, initial_symbol) if early_termination else None,
-                max_steps=max_steps,
-                deadline=deadline,
-                rule_indices=rule_indices,
-            )
-            weight = result.head_weight(initial_state, initial_symbol)
-
-    reachable = not semiring.is_zero(weight)
-    rules: Optional[Tuple[Rule, ...]] = None
-    if reachable and want_witness:
-        with obs.span("reconstruct"):
-            scratch = solve_reachability(
-                pds,
-                semiring,
-                initial,
-                target,
-                method=method,
-                use_reductions=use_reductions,
-                early_termination=early_termination,
-                want_witness=True,
-                max_steps=max_steps,
-                deadline=deadline,
-                core="interned",
-            )
-        if scratch.weight != weight:
-            raise PdaError(
-                "vectorized/scratch weight disagreement: "
-                f"{weight!r} (vectorized) vs {scratch.weight!r} (scratch)"
-            )
-        rules = scratch.rules
-
-    stats = SolverStats(
-        method=method,
-        rules_before=pds.rule_count(),
-        rules_after=rules_after,
-        saturation_iterations=result.iterations,
-        automaton_transitions=result.transition_count,
-        early_terminated=result.early_terminated,
-        elapsed_seconds=time.perf_counter() - start_time,
-        reduction=reduction_report,
-    )
-    return ReachabilityOutcome(reachable, weight, rules, stats)
-
-
-def incremental_outcome(
-    solver: Any,
-    variant: PushdownSystem,
-    use_reductions: bool,
-    early_termination: bool,
-    want_witness: bool,
-    max_steps: Optional[int] = None,
-    deadline: Optional[float] = None,
-    start_time: Optional[float] = None,
-) -> ReachabilityOutcome:
-    """Answer a reachability question from a repaired incremental solver.
-
-    The verdict and minimal weight come straight from the solver's
-    persistent automaton. Witness *traces*, however, are tie-break
-    artifacts of relaxation order, and a repaired automaton's recorded
-    witnesses need not match a from-scratch solve's — so when the target
-    is reachable and a witness is wanted, the variant is re-solved with
-    the ordinary interned core purely for trace extraction (the exact
-    code path every other core runs, hence byte-identical traces), and
-    the two weights are asserted equal. Unreachable variants — the bulk
-    of a what-if sweep — skip that scratch pass entirely, which is where
-    the incremental speedup comes from.
-    """
-    if start_time is None:
-        start_time = time.perf_counter()
-    weight, _ = solver.accept()
-    semiring = solver.semiring
-    reachable = not semiring.is_zero(weight)
-    rules: Optional[Tuple[Rule, ...]] = None
-    scratch_stats: Optional[SolverStats] = None
-    if reachable and want_witness:
-        scratch = solve_reachability(
-            variant,
-            semiring,
-            solver.initial,
-            solver.target,
-            method=solver.method,
-            use_reductions=use_reductions,
-            early_termination=early_termination,
-            want_witness=True,
-            max_steps=max_steps,
-            deadline=deadline,
-            core="interned",
-        )
-        if scratch.weight != weight:
-            raise PdaError(
-                "incremental/scratch weight disagreement: "
-                f"{weight!r} (incremental) vs {scratch.weight!r} (scratch)"
-            )
-        rules = scratch.rules
-        scratch_stats = scratch.stats
-    last = solver.stats.reports[-1] if solver.stats.reports else None
-    stats = SolverStats(
-        method=solver.method,
-        rules_before=variant.rule_count(),
-        rules_after=variant.rule_count(),
-        saturation_iterations=(
-            last.repair_iterations if last is not None else solver.baseline_iterations
-        ),
-        automaton_transitions=solver.automaton.transition_count(),
-        early_terminated=False,
-        elapsed_seconds=time.perf_counter() - start_time,
-        reduction=scratch_stats.reduction if scratch_stats is not None else None,
-        incremental=last,
     )
     return ReachabilityOutcome(reachable, weight, rules, stats)
 

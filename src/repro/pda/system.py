@@ -116,31 +116,17 @@ class PushdownSystem:
     existing ones creates a system in the *same id space* — which is how
     :meth:`replace_rules` makes reduced systems share their parent's
     interning (rule objects are adopted as-is, no re-interning).
-
-    ``spec_table`` optionally interns each rule's *semantic identity*
-    ``(from_id, pop_id, to_id, push_ids, weight)`` — note: no tag — to a
-    dense spec id, recorded per rule in :attr:`spec_ids`. Systems built
-    over one shared spec table (and therefore the same state/symbol
-    tables, which the spec ids quote) can be diffed as flat integer
-    multisets without hashing a single tuple; the incremental solver's
-    sweep retarget lives on this. The stream is append-only and aligned
-    with the rule list.
     """
 
     def __init__(
         self,
         state_table: Optional[SymbolTable] = None,
         symbol_table: Optional[SymbolTable] = None,
-        spec_table: Optional[SymbolTable] = None,
     ) -> None:
         self.state_table = state_table if state_table is not None else SymbolTable()
         self.symbol_table = (
             symbol_table if symbol_table is not None else SymbolTable(reserve=(EPSILON,))
         )
-        self.spec_table = spec_table
-        #: Dense spec id per rule (aligned with the rule list), or None
-        #: when the system was built without a spec table.
-        self.spec_ids: Optional[array] = array("q") if spec_table is not None else None
         self._rules: List[Rule] = []
         #: packed head ``(from_id << SHIFT) | pop_id`` → rules.
         self._by_head: Dict[int, List[Rule]] = {}
@@ -170,12 +156,6 @@ class PushdownSystem:
 
     def _index_rule(self, rule: Rule) -> None:
         self._rules.append(rule)
-        if self.spec_table is not None:
-            self.spec_ids.append(
-                self.spec_table.intern(
-                    (rule.from_id, rule.pop_id, rule.to_id, rule.push_ids, rule.weight)
-                )
-            )
         self._by_head.setdefault((rule.from_id << SHIFT) | rule.pop_id, []).append(rule)
         self._state_ids.add(rule.from_id)
         self._state_ids.add(rule.to_id)
@@ -215,15 +195,6 @@ class PushdownSystem:
     @property
     def rules(self) -> Tuple[Rule, ...]:
         return tuple(self._rules)
-
-    def rule_sequence(self) -> Sequence[Rule]:
-        """The live rule list (read-only view; do not mutate).
-
-        Unlike :attr:`rules` this does not copy — index-aligned with
-        :attr:`spec_ids`, which is how the incremental diff resolves
-        added spec ids back to rule objects without a scan.
-        """
-        return self._rules
 
     @property
     def control_state_ids(self) -> Set[int]:
@@ -294,8 +265,6 @@ class PushdownSystem:
         return {
             "state_table": self.state_table,
             "symbol_table": self.symbol_table,
-            "spec_table": self.spec_table,
-            "spec_ids": self.spec_ids,
             "packed_heads": array(
                 "q",
                 (
@@ -312,8 +281,6 @@ class PushdownSystem:
     def __setstate__(self, state: Dict[str, Any]) -> None:
         self.state_table = state["state_table"]
         self.symbol_table = state["symbol_table"]
-        self.spec_table = state["spec_table"]
-        self.spec_ids = state["spec_ids"]
         self._rules = rules = []
         self._by_head = by_head = {}
         self._head_index = None

@@ -215,17 +215,6 @@ def _resolve_backend(payload: Dict[str, Any]) -> str:
     return "poststar" if engine_name == "dual" else engine_name
 
 
-def _resolve_core(payload: Dict[str, Any]) -> str:
-    """Validated ``"core"`` field (default interned, matching the CLI)."""
-    core = payload.get("core", "interned")
-    if core not in ("interned", "tuple", "vectorized", "incremental"):
-        raise ReproError(
-            f"unknown core {core!r} "
-            "(use: interned, tuple, vectorized, incremental)"
-        )
-    return core
-
-
 def _resolve_triage(payload: Dict[str, Any]) -> str:
     """Validated ``"triage"`` field (default off, matching the CLI)."""
     mode = payload.get("triage", "off")
@@ -317,9 +306,7 @@ def _prob_verify(
         threshold=threshold,
         default=default,
         max_scenarios=limit,
-        config=EngineConfig(
-            backend=backend, weight=weight, core=_resolve_core(payload)
-        ),
+        config=EngineConfig(backend=backend, weight=weight),
         timeout=payload.get("timeout"),
     )
     response: Dict[str, Any] = {
@@ -373,7 +360,6 @@ def _verify_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, 
     config = EngineConfig(
         backend=_resolve_backend(payload),
         weight=payload.get("weight"),
-        core=_resolve_core(payload),
         triage=_resolve_triage(payload),
     )
     engine = worker_cache().engine(
@@ -505,7 +491,6 @@ def _submit_job(
     config = EngineConfig(
         backend=backend,
         weight=weight,
-        core=_resolve_core(payload),
         triage=_resolve_triage(payload),
     )
 

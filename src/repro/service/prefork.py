@@ -54,7 +54,16 @@ def _shutdown_async(server) -> None:
     ``shutdown()`` blocks until ``serve_forever`` exits, and signal
     handlers run *on* the serving (main) thread — calling it directly
     would deadlock, so it runs on a helper thread instead.
+
+    A worker that lost the race for the last connection sits in a
+    blocking ``accept()`` on the shared socket. The signal interrupts
+    it and PEP 475 retries the call once this handler returns; made
+    non-blocking here, the retry raises BlockingIOError, which
+    ``serve_forever`` takes for "no request", so the loop sees the
+    shutdown flag. The socket stays blocking while serving, which
+    leaves how the kernel spreads connections over the workers as it is.
     """
+    server._httpd.socket.setblocking(False)
     threading.Thread(
         target=server._httpd.shutdown, daemon=True
     ).start()

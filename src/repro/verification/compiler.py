@@ -50,7 +50,6 @@ from repro.model.network import MplsNetwork
 from repro.model.operations import Operation, Push, Swap, stack_growth
 from repro.model.quantities import failure_set_cost
 from repro.model.topology import Link
-from repro.pda.intern import SymbolTable
 from repro.pda.semiring import BOOLEAN, Semiring, vector_semiring
 from repro.pda.system import PushdownSystem
 from repro.query.ast import Query
@@ -174,9 +173,6 @@ class QueryCompiler:
         network: MplsNetwork,
         distance_of: Optional[Callable[[Link], int]] = None,
         memo_capacity: int = 128,
-        state_table: Optional[SymbolTable] = None,
-        symbol_table: Optional[SymbolTable] = None,
-        spec_table: Optional[SymbolTable] = None,
     ) -> None:
         self.network = network
         self._custom_distance = distance_of is not None
@@ -187,15 +183,6 @@ class QueryCompiler:
         #: None keeps the store out of the loop (see
         #: :meth:`attach_artifact_key`).
         self.artifact_key: Optional[str] = None
-        # Optional shared interning arenas: an incremental sweep compiles
-        # the baseline and every variant into ONE id space (plus a rule
-        # spec table) so rule sets diff as flat integer multisets. All
-        # three tables must travel together — spec ids quote state and
-        # symbol ids. Defaults (None) give every compiled system fresh
-        # private tables, exactly as before.
-        self.state_table = state_table
-        self.symbol_table = symbol_table
-        self.spec_table = spec_table
         self.memo_capacity = memo_capacity
         self.memo_hits = 0
         self.memo_misses = 0
@@ -215,11 +202,10 @@ class QueryCompiler:
         consult the store for a pickled :class:`CompiledQuery` built by
         a sibling process, and publish fresh compilations back. The key
         is ignored when compilation is not a pure function of the
-        network's content: a custom ``distance_of`` callable or shared
-        interning tables (the incremental family's compilers) make the
+        network's content: a custom ``distance_of`` callable makes the
         artifact process-specific.
         """
-        if self._custom_distance or self.state_table is not None:
+        if self._custom_distance:
             return
         self.artifact_key = key
 
@@ -354,9 +340,7 @@ class _Builder:
         self.weight_vector = weight_vector
         self.semiring = semiring
         self.max_failures = query.max_failures
-        self.pds = PushdownSystem(
-            compiler.state_table, compiler.symbol_table, spec_table=compiler.spec_table
-        )
+        self.pds = PushdownSystem()
         # Compiled NFAs.
         network = self.network
         self.a_nfa = label_nfa(query.initial_header, network).intersect(
@@ -534,12 +518,9 @@ class _Builder:
                 source, matched_label, target, (matched_label,), weight, tag=("fwd",)
             )
             return
-        # Chain states are *content-addressed*: two compilations of the
-        # same entry (even across network variants) name their
-        # intermediate states identically, so the incremental solver can
-        # diff baseline and variant rule sets symbolically and see only
-        # the rules that actually changed. A per-run counter here would
-        # renumber every chain after the first differing entry.
+        # Chain states are *content-addressed*, not numbered per run:
+        # the same entry gets the same intermediate state names in every
+        # compilation and every network variant.
         chain_key = (source, matched_label, operations, target)
         current_state = source
         # Known top symbol, or None once a pop uncovered unknown content.

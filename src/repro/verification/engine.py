@@ -71,16 +71,8 @@ class VerificationEngine:
     * ``weight`` — a :class:`WeightVector` (or its textual form) enabling
       the quantitative engine; None keeps the boolean engine;
     * ``core`` — saturation representation: the dense-id ``"interned"``
-      core (default), the symbolic ``"tuple"`` reference core (used by
-      the differential tests and as the benchmark baseline), the
-      generation-batched numpy ``"vectorized"`` core (falls back to the
-      interned core — with a :class:`~repro.errors.NumpyFallbackWarning`
-      — when numpy or a weight codec is unavailable), or
-      ``"incremental"`` — solve against a persistent baseline-saturated
-      automaton repaired per variant (see
-      :mod:`repro.verification.incremental`); ``baseline`` optionally
-      names the network the sweep varies around (defaults to this
-      engine's own network);
+      core (default) or the symbolic ``"tuple"`` reference core (used by
+      the differential tests and as the benchmark baseline);
     * ``triage`` — the static triage tier (:mod:`repro.analysis.triage`):
       ``"off"`` (default) never runs it, ``"auto"`` runs it as a fast
       path and falls through to the full pipeline when inconclusive,
@@ -99,40 +91,16 @@ class VerificationEngine:
         name: Optional[str] = None,
         core: str = "interned",
         triage: str = "off",
-        baseline: Optional[MplsNetwork] = None,
-        baseline_key: Optional[str] = None,
     ) -> None:
         self.network = network
         self.backend = backend
         self.use_reductions = use_reductions
         self.early_termination = early_termination
-        if core not in ("interned", "tuple", "vectorized", "incremental"):
+        if core not in ("interned", "tuple"):
             raise VerificationError(
-                f"unknown solver core {core!r} "
-                "(expected interned, tuple, vectorized or incremental)"
+                f"unknown solver core {core!r} (expected interned or tuple)"
             )
         self.core = core
-        self._family = None
-        if core == "incremental":
-            if backend == "moped":
-                raise VerificationError(
-                    "the Moped backend cannot use the incremental core"
-                )
-            if distance_of is not None:
-                # A custom distance function is not part of the baseline
-                # family's cache key, so sharing solvers would be unsound.
-                raise VerificationError(
-                    "the incremental core does not support a custom distance_of"
-                )
-            from repro.verification.incremental import incremental_family
-
-            self._family = incremental_family(
-                baseline if baseline is not None else network, key=baseline_key
-            )
-        elif baseline is not None or baseline_key is not None:
-            raise VerificationError(
-                "baseline networks are only meaningful with core='incremental'"
-            )
         if triage not in ("auto", "off", "only"):
             raise VerificationError(
                 f"unknown triage mode {triage!r} (expected auto, off or only)"
@@ -148,21 +116,14 @@ class VerificationEngine:
             )
         self.weight_vector = weight
         self.distance_of = distance_of
-        if self._family is not None:
-            # Compile in the family's shared id space so variant solves
-            # diff rule sets as flat integer multisets (fast path).
-            self.compiler = self._family.compiler_for(network)
-        else:
-            self.compiler = QueryCompiler(network, distance_of)
+        self.compiler = QueryCompiler(network, distance_of)
         self.name = name if name is not None else self._default_name()
 
     def attach_artifact_key(self, key: str) -> None:
         """Name this engine's network in the shared artifact store.
 
         Delegates to the compiler (see
-        :meth:`~repro.verification.compiler.QueryCompiler.attach_artifact_key`);
-        a no-op for incremental-family compilers, whose shared interning
-        tables make compiled systems process-specific.
+        :meth:`~repro.verification.compiler.QueryCompiler.attach_artifact_key`).
         """
         self.compiler.attach_artifact_key(key)
 
@@ -328,15 +289,6 @@ class VerificationEngine:
                 compiled.initial,
                 compiled.target,
                 use_reductions=self.use_reductions,
-                deadline=deadline,
-            )
-        if self._family is not None:
-            return self._family.solve(
-                compiled,
-                method=self.backend,
-                use_reductions=self.use_reductions,
-                early_termination=self.early_termination,
-                want_witness=True,
                 deadline=deadline,
             )
         return solve_reachability(

@@ -65,33 +65,26 @@ class TestEngineMemoization:
         assert cache.stats.engine_hits == 1
         assert cache.stats.engine_misses == 2
 
-    def test_core_selection_is_part_of_the_engine_key(self):
-        """Regression: configs differing only in the saturation core (or
-        the incremental baseline key) must occupy distinct engine slots.
-        A cache that ignored ``core=`` would hand a tuple-core worker an
-        interned engine — or worse, an incremental engine saturated
-        against some other sweep's baseline."""
+    def test_triage_selection_is_part_of_the_engine_key(self):
+        """Regression: configs differing only in the triage mode must
+        occupy distinct engine slots. A cache that ignored ``triage=``
+        would hand a worker asked for the full pipeline an engine that
+        answers from triage alone."""
         from repro.farm.pool import EngineConfig
 
         cache = ArtifactCache()
         network = build_example_network()
-        interned = EngineConfig()
-        tupled = EngineConfig(core="tuple")
-        assert interned != tupled  # frozen dataclass equality keys the cache
-        e1 = cache.engine("k", interned, lambda: interned.build(network))
-        e2 = cache.engine("k", tupled, lambda: tupled.build(network))
+        full = EngineConfig()
+        only = EngineConfig(triage="only")
+        assert full != only  # frozen dataclass equality keys the cache
+        e1 = cache.engine("k", full, lambda: full.build(network))
+        e2 = cache.engine("k", only, lambda: only.build(network))
         assert e1 is not e2
-        assert e1.core == "interned" and e2.core == "tuple"
-        assert cache.engine("k", interned, lambda: interned.build(network)) is e1
-        assert cache.engine("k", tupled, lambda: tupled.build(network)) is e2
+        assert e1.triage == "off" and e2.triage == "only"
+        assert cache.engine("k", full, lambda: full.build(network)) is e1
+        assert cache.engine("k", only, lambda: only.build(network)) is e2
         assert cache.stats.engine_misses == 2
         assert cache.stats.engine_hits == 2
-
-        inc_a = EngineConfig(core="incremental", baseline_key="aaa")
-        inc_b = EngineConfig(core="incremental", baseline_key="bbb")
-        assert inc_a != inc_b and inc_a != interned
-        built = cache.engine("k", inc_a, lambda: interned.build(network))
-        assert cache.engine("k", inc_b, lambda: tupled.build(network)) is not built
 
     def test_clear_resets_everything(self):
         cache = ArtifactCache()

@@ -1,7 +1,9 @@
 """Tests for the asynchronous job manager."""
 
 import os
+import threading
 import time
+from dataclasses import dataclass, field
 
 import pytest
 
@@ -86,6 +88,21 @@ class _SlowConfig(EngineConfig):
         return super().build(network)
 
 
+@dataclass(frozen=True)
+class _GatedConfig(EngineConfig):
+    """Holds the first engine build until the test opens ``gate``.
+
+    The gate is part of the config, so every instance gets its own
+    worker-cache engine slot and its build really runs (and waits).
+    """
+
+    gate: threading.Event = field(default_factory=threading.Event)
+
+    def build(self, network):
+        assert self.gate.wait(timeout=60), "test never opened the gate"
+        return super().build(network)
+
+
 class TestCancellation:
     def test_cancel_skips_queued_jobs(self, manager, network):
         scenarios = suite_scenarios(network, list(EXAMPLE_QUERIES))
@@ -150,9 +167,13 @@ class TestStoreBackedManager:
         self, owner, sibling, network
     ):
         scenarios = suite_scenarios(network, list(EXAMPLE_QUERIES))
-        jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, _SlowConfig())
+        config = _GatedConfig()
+        jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config)
+        # max_workers=1 runs in-process: the first build waits on the
+        # gate until the sibling's cancel marker is in the store.
         run = owner.submit(jobs, payloads, prebuilt=prebuilt, max_workers=1)
-        document = sibling.request_cancel(run.id)  # lands mid-stall
+        document = sibling.request_cancel(run.id)
+        config.gate.set()
         assert document == {"id": run.id, "state": RUNNING}
         assert run.wait(timeout=120)
         assert run.state == CANCELLED

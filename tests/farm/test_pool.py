@@ -137,47 +137,41 @@ def test_worker_crash_surfaces_as_error_items(payloads):
 
 
 # ----------------------------------------------------------------------
-# incremental-core crash containment
+# mid-sweep crash containment
 # ----------------------------------------------------------------------
 
 #: Worker-local build counter for the mid-sweep crash injection; each
 #: forked worker starts from the parent's (zero) value.
-_INCREMENTAL_BUILDS = 0
+_MID_SWEEP_BUILDS = 0
 
 
 class _MidSweepCrashConfig(EngineConfig):
-    """An incremental-core config that kills its worker *mid-sweep*:
-    the first variant engines build (and solve against the shared
-    baseline family) normally, then one build never returns — the
-    tightest crash point injectable without reaching into the solver."""
+    """A config that kills its worker *mid-sweep*: the first variant
+    engines build and solve normally, then one build never returns —
+    the tightest crash point injectable without reaching into the
+    solver."""
 
-    def build(self, network, baseline=None):
-        global _INCREMENTAL_BUILDS
-        _INCREMENTAL_BUILDS += 1
-        if _INCREMENTAL_BUILDS >= 3:
+    def build(self, network):
+        global _MID_SWEEP_BUILDS
+        _MID_SWEEP_BUILDS += 1
+        if _MID_SWEEP_BUILDS >= 3:
             os._exit(13)
-        return super().build(network, baseline)
+        return super().build(network)
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork",
     reason="crash injection relies on fork inheriting the test class",
 )
-def test_incremental_worker_crash_is_contained(network):
+def test_worker_crash_mid_sweep_is_contained(network):
     """A worker killed mid-variant must surface as error items in the
-    run snapshot — and must not corrupt the shared baseline artifact:
-    the identical sweep re-run afterwards matches a scratch-core sweep
-    verdict for verdict."""
+    run snapshot, and the run must still finish."""
     from repro.farm.jobs import JobManager
     from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
-    from repro.verification.incremental import clear_incremental_families
 
     scenarios = link_audit_scenarios(network, [("phi0", EXAMPLE_QUERIES[0][1])])
-    crashing = _MidSweepCrashConfig(triage="off", core="incremental")
-    jobs, payloads, prebuilt = scenarios_to_jobs(
-        scenarios, config=crashing, baseline=network
-    )
-    assert all(job.config.baseline_key is not None for job in jobs)
+    crashing = _MidSweepCrashConfig(triage="off")
+    jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config=crashing)
 
     manager = JobManager()
     run = manager.submit(jobs, payloads, max_workers=2, prebuilt=prebuilt)
@@ -191,25 +185,3 @@ def test_incremental_worker_crash_is_contained(network):
         and "worker failed" in item.error
         for item in run.items
     )
-
-    # Same sweep again, serially in this (parent) process: the baseline
-    # artifact and solver family the crashed workers shared must still
-    # produce exactly the scratch core's verdicts.
-    clear_incremental_families()
-    clean = EngineConfig(triage="off", core="incremental")
-    jobs2, payloads2, prebuilt2 = scenarios_to_jobs(
-        scenarios, config=clean, baseline=network
-    )
-    repaired = run_jobs(jobs2, payloads2, max_workers=1, prebuilt=prebuilt2)
-    scratch_jobs, scratch_payloads, scratch_prebuilt = scenarios_to_jobs(
-        scenarios, config=EngineConfig(triage="off")
-    )
-    scratch = run_jobs(
-        scratch_jobs, scratch_payloads, max_workers=1, prebuilt=scratch_prebuilt
-    )
-    assert [item.outcome for item in repaired] == [
-        item.outcome for item in scratch
-    ]
-    assert [repr(item.result.trace) if item.result else None for item in repaired] == [
-        repr(item.result.trace) if item.result else None for item in scratch
-    ]

@@ -3,13 +3,12 @@
 The trace fixtures (:mod:`tests.integration.test_golden_traces`) pin
 single-network verification; these pin **sweep mode** — the per-link
 ``k = 1`` audit over every builtin (106 jobs on nordunet), executed
-through the farm with ``core="incremental"`` exactly as a production
-sweep runs. Every fixture under ``tests/integration/golden/`` records,
-per failed-link scenario, the verdict plus a digest of the full answer
-(status, weight, trace hop-for-hop, failure set), so incremental-vs-
-scratch drift — a repaired fixpoint differing from what saturation
-produced at regen time — fails loudly in CI rather than silently
-skewing sweep reports.
+through the farm exactly as a production sweep runs, with triage off so
+every variant is saturated. Every fixture under
+``tests/integration/golden/`` records, per failed-link scenario, the
+verdict plus a digest of the full answer (status, weight, trace
+hop-for-hop, failure set), so drift in any variant's answer fails
+loudly in CI rather than silently skewing sweep reports.
 
 Regenerate (after an intentional behavior change) with::
 
@@ -29,6 +28,7 @@ from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
 from repro.datasets.queries import generate_query_suite
 from repro.farm.pool import EngineConfig, run_jobs
 from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
+from repro.verification.engine import VerificationEngine
 from tests.integration.test_golden_traces import _case_payload
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -46,16 +46,14 @@ def _audit_query(network):
     return next(g for g in suite if g.name == AUDIT_QUERY)
 
 
-def _sweep_payload(name, core="incremental"):
+def _sweep_payload(name):
     """Run the full per-link audit through the farm's serial path and
     canonicalize every scenario's answer."""
     network = load_builtin(name)
     query = _audit_query(network)
     scenarios = link_audit_scenarios(network, [(query.name, query.text)])
-    config = EngineConfig(triage="off", core=core)
-    jobs, payloads, prebuilt = scenarios_to_jobs(
-        scenarios, config=config, baseline=network if core == "incremental" else None
-    )
+    config = EngineConfig(triage="off")
+    jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config=config)
     items = run_jobs(jobs, payloads, max_workers=1, prebuilt=prebuilt)
     payload = {"query": query.text, "scenarios": {}}
     for item in items:
@@ -64,15 +62,17 @@ def _sweep_payload(name, core="incremental"):
             "unsatisfied",
             "inconclusive",
         ), f"{name}/{item.name}: sweep job failed: {item.error}"
-        case = _case_payload(item.result)
-        digest = hashlib.sha256(
-            json.dumps(case, sort_keys=True).encode()
-        ).hexdigest()[:16]
-        payload["scenarios"][item.name] = {
-            "status": case["status"],
-            "digest": digest,
-        }
+        payload["scenarios"][item.name] = _scenario_entry(item.result)
     return payload
+
+
+def _scenario_entry(result):
+    """One scenario's verdict plus a digest of its full answer."""
+    case = _case_payload(result)
+    digest = hashlib.sha256(
+        json.dumps(case, sort_keys=True).encode()
+    ).hexdigest()[:16]
+    return {"status": case["status"], "digest": digest}
 
 
 def _fixture_path(name):
@@ -96,34 +96,21 @@ def test_golden_sweep_verdicts(name):
     ), f"golden sweep drift on {name}"
 
 
-def test_scratch_core_matches_sweep_fixture():
-    """The fixtures were recorded through ``core="incremental"``; the
-    from-scratch interned core must land on the same per-variant
-    digests — this is the cross-core drift tripwire."""
+def test_tuple_core_matches_sweep_fixture():
+    """The tuple oracle, run scenario by scenario outside the farm, lands
+    on the recorded per-variant digests: the cross-core drift tripwire
+    for sweeps."""
     name = "abilene"
-    path = _fixture_path(name)
-    if not path.exists():
-        pytest.skip("fixture not generated yet")
-    expected = json.loads(path.read_text())
-    actual = _sweep_payload(name, core="interned")
-    assert json.dumps(actual, indent=2, sort_keys=True) == json.dumps(
-        expected, indent=2, sort_keys=True
-    ), "interned and incremental sweeps diverged"
-
-
-def test_vectorized_core_matches_sweep_fixture():
-    """The vectorized core replays the recorded sweep byte-for-byte:
-    same per-variant status, same answer digest — the batched kernel
-    cannot drift from what the incremental/interned cores pinned."""
-    name = "abilene"
-    path = _fixture_path(name)
-    if not path.exists():
-        pytest.skip("fixture not generated yet")
-    expected = json.loads(path.read_text())
-    actual = _sweep_payload(name, core="vectorized")
-    assert json.dumps(actual, indent=2, sort_keys=True) == json.dumps(
-        expected, indent=2, sort_keys=True
-    ), "vectorized and incremental sweeps diverged"
+    network = load_builtin(name)
+    query = _audit_query(network)
+    actual = {"query": query.text, "scenarios": {}}
+    for scenario in link_audit_scenarios(network, [(query.name, query.text)]):
+        engine = VerificationEngine(scenario.network, core="tuple", triage="off")
+        actual["scenarios"][scenario.name] = _scenario_entry(
+            engine.verify(scenario.query)
+        )
+    expected = json.loads(_fixture_path(name).read_text())
+    assert actual == expected, "tuple core and farm sweep diverged"
 
 
 def test_sweep_fixtures_cover_every_builtin():

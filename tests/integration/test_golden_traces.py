@@ -52,23 +52,19 @@ def _case_payload(result):
     return payload
 
 
-def _network_payload(name):
+def _network_payload(name, core="interned"):
     network = load_builtin(name)
     payload = {}
     for query in table1_queries(network):
         entry = {"query": query.text}
-        entry["dual"] = _case_payload(dual_engine(network).verify(query.text))
-        entry["vectorized"] = _case_payload(
-            dual_engine(network, core="vectorized").verify(query.text)
+        entry["dual"] = _case_payload(
+            dual_engine(network, core=core).verify(query.text)
         )
         if name in WEIGHTED_NETWORKS:
             entry["weighted"] = _case_payload(
-                weighted_engine(network, weight="hops, failures").verify(query.text)
-            )
-            entry["weighted_vectorized"] = _case_payload(
-                weighted_engine(
-                    network, weight="hops, failures", core="vectorized"
-                ).verify(query.text)
+                weighted_engine(network, weight="hops, failures", core=core).verify(
+                    query.text
+                )
             )
         payload[query.name] = entry
     return payload
@@ -100,22 +96,13 @@ def test_golden_traces(name):
 
 
 @pytest.mark.parametrize("name", BUILTIN_NETWORKS)
-def test_vectorized_entries_equal_interned_entries(name):
-    """Core-equivalence inside the fixtures themselves: the recorded
-    vectorized answers must be byte-identical to the interned (dual /
-    weighted) answers, so a regen can never silently pin a divergence
-    between the cores."""
-    path = _fixture_path(name)
-    if not path.exists():
-        pytest.skip("fixture not generated yet")
-    payload = json.loads(path.read_text())
-    for query_name, entry in payload.items():
-        assert entry["vectorized"] == entry["dual"], (name, query_name)
-        if "weighted" in entry:
-            assert entry["weighted_vectorized"] == entry["weighted"], (
-                name,
-                query_name,
-            )
+def test_tuple_core_replays_golden_traces(name):
+    """The tuple oracle reproduces the recorded interned answers byte for
+    byte, so a regen can never pin a divergence between the cores."""
+    expected = json.loads(_fixture_path(name).read_text())
+    assert _network_payload(name, core="tuple") == expected, (
+        f"tuple core diverged from the golden traces on {name}"
+    )
 
 
 def test_fixtures_cover_every_builtin():

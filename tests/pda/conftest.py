@@ -4,27 +4,18 @@ Three suites used to carry private copies of the same generators — the
 dual/Moped fuzz harness (synthesized ring networks), the triage
 differential (builtin networks × generated queries) and the interning
 properties (builtin subset, different seed). This module is the single
-source for all of them, plus the delta-sequence machinery the
-incremental-saturation mutation harness adds:
+source for all of them:
 
 * :func:`small_fuzz_graph` / :func:`synthesized_network` — seeded
   6-node ring-with-chords dataplanes (topology, LSP mesh, failover
   priorities and service tunnels all derive from the seed);
 * :func:`query_corpus` — the generated query suite for any network,
   memoized per (network identity, parameters);
-* :func:`builtin_network` — memoized builtin loading;
-* :func:`link_failure_variants` — seeded network variants (failure sets
-  baked in via ``degrade_network``), the network-level mutation source;
-* :func:`random_rule_delta` — a seeded retract/add mutation over a
-  pushdown system's symbolic rule multiset, the PDA-level mutation
-  source for the incremental solver's differential tests.
+* :func:`builtin_network` — memoized builtin loading.
 
 Everything is deterministic in its seed arguments so CI's fixed seed
 matrix (``REPRO_FUZZ_SEEDS``) reproduces failures exactly.
 """
-
-import itertools
-import random
 
 import pytest
 
@@ -33,8 +24,6 @@ from repro.datasets.builtins import load_builtin
 from repro.datasets.graphs import EdgeSpec, GraphSpec, NodeSpec
 from repro.datasets.queries import generate_query_suite
 from repro.datasets.synthesis import SynthesisOptions, synthesize_network
-from repro.model.srlg import degrade_network
-from repro.pda.incremental import RuleSpec, rule_spec
 
 #: Default seeds of the synthesized-network fuzz corpus. Overridable via
 #: the REPRO_FUZZ_SEEDS env var ("11,23,47") so CI can run a seed matrix
@@ -44,7 +33,7 @@ DEFAULT_FUZZ_SEEDS = (11, 23, 47)
 #: Every saturation core the engine can select. The differential
 #: harnesses quantify over this tuple so a new core cannot land without
 #: joining the equivalence matrix.
-CORE_MATRIX = ("tuple", "interned", "vectorized", "incremental")
+CORE_MATRIX = ("tuple", "interned")
 
 
 def fuzz_seeds():
@@ -120,82 +109,6 @@ def query_corpus(
     return _CORPORA[key]
 
 
-def link_failure_variants(network, seed: int, rounds: int, max_failures: int = 2):
-    """Seeded network variants for mutation sequences.
-
-    Returns ``rounds`` networks, each the baseline degraded under a
-    random failure set of 1..``max_failures`` links. Consecutive
-    entries differ from each other (and the baseline) by small rule
-    deltas — exactly the shape a sweep retargets through.
-    """
-    rng = random.Random(seed)
-    links = sorted(network.topology.links, key=lambda link: link.name)
-    variants = []
-    for _ in range(rounds):
-        size = rng.randint(1, min(max_failures, len(links)))
-        failed = frozenset(rng.sample(links, size))
-        variants.append(degrade_network(network, failed))
-    return variants
-
-
-def random_rule_delta(rng: random.Random, current, max_removed=3, max_added=3):
-    """One random retract/add mutation over a symbolic rule multiset.
-
-    ``current`` is the list of :data:`RuleSpec` tuples the system holds
-    right now; returns ``(removed, added)`` where ``removed`` is a
-    sample of current specs and ``added`` contains fresh rules over the
-    states/symbols the system already mentions (plus occasionally a new
-    symbol, to exercise interning growth during repair).
-    """
-    removed = rng.sample(current, rng.randint(0, min(max_removed, len(current))))
-    states = sorted({s[0] for s in current} | {s[2] for s in current}, key=repr)
-    symbols = sorted(
-        {s[1] for s in current} | {sym for s in current for sym in s[3]}, key=repr
-    )
-    added = []
-    if states and symbols:
-        for index in range(rng.randint(0, max_added)):
-            pop = rng.choice(symbols)
-            pushes = {
-                "pop": (),
-                "swap": (rng.choice(symbols),),
-                "push": (rng.choice(symbols), rng.choice(symbols)),
-            }
-            push = pushes[rng.choice(["pop", "swap", "push"])]
-            if rng.random() < 0.1:
-                push = (("fresh", rng.randint(0, 9)),) + push[1:]
-            added.append(
-                (
-                    rng.choice(states),
-                    pop,
-                    rng.choice(states),
-                    push,
-                    True,
-                    ("mut", rng.randrange(1 << 30), index),
-                )
-            )
-    return removed, added
-
-
-@pytest.fixture(params=["numpy", "no-numpy"])
-def numpy_mode(request, monkeypatch):
-    """Run the test twice: with numpy available and with it "absent".
-
-    The no-numpy leg nulls the module handles the vectorized and
-    incremental cores import, so their pure-Python fallbacks (interned
-    core / symbolic rule diffs) are what actually executes — both paths
-    must produce identical answers, and the degradation must be loud
-    (:class:`repro.errors.NumpyFallbackWarning`).
-    """
-    if request.param == "no-numpy":
-        import repro.pda.incremental as incremental
-        import repro.pda.vectorized as vectorized
-
-        monkeypatch.setattr(vectorized, "np", None)
-        monkeypatch.setattr(incremental, "_np", None)
-    return request.param
-
-
 __all__ = [
     "CORE_MATRIX",
     "DEFAULT_FUZZ_SEEDS",
@@ -204,10 +117,6 @@ __all__ = [
     "synthesized_network",
     "builtin_network",
     "query_corpus",
-    "link_failure_variants",
-    "random_rule_delta",
-    "RuleSpec",
-    "rule_spec",
 ]
 
 
@@ -222,6 +131,3 @@ def clean_obs_registry():
     if previous:
         obs.enable()
 
-
-# Imported for re-export; keep linters quiet about "unused".
-_ = (itertools, RuleSpec, rule_spec)

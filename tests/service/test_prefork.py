@@ -15,6 +15,7 @@ import re
 import signal
 import subprocess
 import sys
+import textwrap
 import time
 
 import pytest
@@ -26,15 +27,29 @@ pytestmark = pytest.mark.skipif(
 READY = re.compile(r"ready on http://([\d.]+):(\d+)/ workers=(\d+)")
 
 
-@pytest.fixture(scope="module")
-def service(tmp_path_factory):
-    store = str(tmp_path_factory.mktemp("store"))
+def _service_env():
     env = dict(os.environ)
     src = os.path.join(os.path.dirname(__file__), "..", "..", "src")
     env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get(
         "PYTHONPATH", ""
     )
     env.pop("AALWINES_STORE", None)
+    return env
+
+
+def _kill_group(process):
+    """SIGKILL whatever is left of a ``start_new_session`` process tree."""
+    try:
+        os.killpg(process.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    process.wait(timeout=10)
+    process.stdout.close()
+
+
+@pytest.fixture(scope="module")
+def service(tmp_path_factory):
+    store = str(tmp_path_factory.mktemp("store"))
     process = subprocess.Popen(
         [
             sys.executable,
@@ -48,7 +63,7 @@ def service(tmp_path_factory):
             "--port",
             "0",
         ],
-        env=env,
+        env=_service_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -155,3 +170,93 @@ class TestMultiWorker:
             connection.close()
         assert response.status == 200
         assert "aalwines_http_requests_total" in text
+
+
+class TestDrain:
+    """SIGTERM drains every worker, including one that lost the race for
+    the last connection on the shared listening socket."""
+
+    def test_sigterm_releases_a_worker_blocked_in_accept(self):
+        """A worker that lost the race for the last connection sits in a
+        blocking ``accept()`` on the shared socket; the SIGTERM handler
+        must release it so the worker can exit."""
+        script = textwrap.dedent(
+            """
+            import signal
+            from repro.server import VerificationServer
+            from repro.service.prefork import _shutdown_async, make_listening_socket
+
+            sock = make_listening_socket("127.0.0.1", 0)
+            server = VerificationServer(
+                "127.0.0.1", sock.getsockname()[1], observe=False, listen_socket=sock
+            )
+            signal.signal(signal.SIGTERM, lambda *_: _shutdown_async(server))
+            print("accepting", flush=True)
+            server._httpd._handle_request_noblock()  # nothing pending
+            print("released", flush=True)
+            """
+        )
+        process = subprocess.Popen(
+            [sys.executable, "-c", script],
+            env=_service_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            assert process.stdout.readline().strip() == "accepting"
+            time.sleep(0.2)  # let it block in accept()
+            process.send_signal(signal.SIGTERM)
+            assert process.wait(timeout=10) == 0
+            assert process.stdout.read().strip() == "released"
+        finally:
+            _kill_group(process)
+
+    def test_sigterm_drains_two_workers(self, tmp_path):
+        """After a burst of requests one worker often sits blocked in
+        ``accept()`` behind the one that won the last connection; SIGTERM
+        must still bring the whole process tree down promptly."""
+        process = subprocess.Popen(
+            [
+                sys.executable,
+                "-m",
+                "repro.cli",
+                "serve",
+                "--workers",
+                "2",
+                "--store",
+                str(tmp_path / "store"),
+                "--port",
+                "0",
+            ],
+            env=_service_env(),
+            stdout=subprocess.PIPE,
+            stderr=subprocess.DEVNULL,
+            text=True,
+            start_new_session=True,
+        )
+        try:
+            match = READY.search(process.stdout.readline())
+            assert match, "no ready line"
+            service = (match.group(1), int(match.group(2)))
+            # Slow NORDUnet compiles beside instant answers on two
+            # connections: a worker busy in a request thread is slow to
+            # call accept() after poll() woke it, so its sibling often
+            # takes the connection first and the loser blocks.
+            queries = ("<ip> .* <ip> 1", "<smpls ip> .* <ip> 0", "<ip> .* <mpls ip> 1")
+            calls = [
+                ("POST", "/verify", {"network": "nordunet", "query": query})
+                for query in queries
+            ] + [("GET", "/networks", None)] * 3
+            with concurrent.futures.ThreadPoolExecutor(max_workers=2) as pool:
+                results = list(pool.map(lambda call: request(service, *call), calls * 2))
+            assert all(status == 200 for status, _ in results)
+            process.send_signal(signal.SIGTERM)
+            # The supervisor exits only after reaping every worker, so
+            # its exit means the whole tree is gone.
+            process.wait(timeout=10)
+            with pytest.raises(ProcessLookupError):
+                os.killpg(process.pid, 0)
+        finally:
+            _kill_group(process)

@@ -158,6 +158,12 @@ class TestErrors:
     def test_missing_routing_file(self, capsys):
         assert main(["--topology", "only.xml", "--query", PHI0]) == 3
 
+    def test_core_is_not_an_option(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--builtin", "example", "--query", PHI0, "--core", "tuple"])
+        assert excinfo.value.code != 0
+        assert "--core" in capsys.readouterr().err
+
 
 class TestFarmFlags:
     def test_parallel_batch_matches_serial(self, tmp_path, capsys):

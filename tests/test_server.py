@@ -832,6 +832,66 @@ class TestTriage:
         assert len(names) == len(set(names)), "duplicate metric series"
 
 
+class TestIgnoredCoreField:
+    """``core`` is not a request field: like any key the request schema
+    does not name, it is ignored, whatever its value, at each endpoint
+    that builds an engine."""
+
+    PHI0 = "<ip> [.#v0] .* [v3#.] <ip> 0"
+    PHI_PROTECTED = "<ip> [.#v0] .* [v3#.] <ip> 2"
+    CORES = ("tuple", "vectorized", "no-such-core")
+
+    def test_verify(self, server):
+        body = {"network": "example", "query": self.PHI0}
+        status, expected = request(server, "POST", "/verify", body)
+        assert status == 200
+        for core in self.CORES:
+            status, document = request(
+                server, "POST", "/verify", dict(body, core=core)
+            )
+            assert status == 200, core
+            assert document["status"] == expected["status"] == "satisfied"
+            assert document["trace"] == expected["trace"]
+            assert document["failure_set"] == expected["failure_set"]
+
+    def test_probabilistic_verify(self, server):
+        body = {
+            "network": "example",
+            "query": self.PHI_PROTECTED,
+            "prob_threshold": 0.9,
+            "prob_default": 0.01,
+        }
+        status, expected = request(server, "POST", "/verify", body)
+        assert status == 200
+        for core in self.CORES:
+            status, document = request(
+                server, "POST", "/verify", dict(body, core=core)
+            )
+            assert status == 200, core
+            assert document["status"] == expected["status"] == "holds"
+            assert document["prob"]["verdict"] == "holds"
+            assert document["prob"]["lower"] == expected["prob"]["lower"]
+
+    def test_job_submission(self, server):
+        status, document = request(
+            server,
+            "POST",
+            "/jobs",
+            {
+                "network": "example",
+                "query": self.PHI0,
+                "sweep_failures": 1,
+                "core": "vectorized",
+            },
+        )
+        assert status == 202
+        assert document["total"] == 9
+        final = TestJobApi()._wait_done(server, document["id"])
+        assert final["state"] == "done"
+        assert final["summary"]["satisfied"] == 7
+        assert final["summary"]["unsatisfied"] == 2
+
+
 class TestHttpRegressions:
     """Pinned fixes for the HTTP-layer bug sweep (routing on the raw
     target, body reads, the DELETE error ladder, SSE streaming)."""

@@ -1,5 +1,5 @@
 """Differential fuzzing over *synthesized* networks: dual vs Moped vs
-the explicit oracle, and the four solver cores against each other.
+the explicit oracle, and the two solver cores against each other.
 
 The conformance suite (:mod:`tests.verification
 .test_differential_conformance`) pins the builtin networks; this one
@@ -9,10 +9,11 @@ tunnels per seed — crossed with a generated query corpus. Every case
 asserts:
 
 * the dual engine and the Moped baseline return the same verdict;
-* all four solver cores (tuple / interned / vectorized / incremental)
-  return *byte-identical* results — same status, same weight, and the
-  same trace digest — for unweighted, weighted, and probabilistic
-  (``NEG_LOG_PROB``-backed likelihood) queries;
+* both solver cores (tuple / interned) return *byte-identical*
+  results — same status, same weight, and the same trace digest — for
+  unweighted, weighted, and probabilistic (``NEG_LOG_PROB``-backed
+  likelihood) queries, and on seeded link-failure variants of builtin
+  and synthesized networks;
 * the weighted engine's guaranteed-minimal weights match exhaustive
   enumeration within the oracle's bounds;
 * the observability counters prove each backend actually saturated its
@@ -21,11 +22,14 @@ asserts:
 """
 
 import hashlib
+import random
 
 import pytest
 
 from repro import obs
+from repro.model.srlg import degrade_network
 from repro.verification.engine import (
+    VerificationEngine,
     dual_engine,
     likelihood_engine,
     moped_engine,
@@ -35,6 +39,7 @@ from repro.verification.explicit import ExplicitEngine
 from repro.verification.results import Status
 from tests.pda.conftest import (
     CORE_MATRIX,
+    builtin_network,
     fuzz_seeds,
     query_corpus,
     synthesized_network,
@@ -205,10 +210,10 @@ def test_minimal_weights_match_enumeration(networks, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_weighted_four_way_core_matrix(networks, seed):
+def test_weighted_core_matrix(networks, seed):
     """Weighted (min-plus vector) answers are core-invariant.
 
-    Every query in the corpus runs through all four cores under the
+    Every query in the corpus runs through both cores under the
     ``hops, failures`` vector; status, weight, and trace digest must be
     byte-identical. Non-vacuity: at least one query per seed must be
     satisfied with a real weighted witness, or the matrix proves
@@ -235,12 +240,12 @@ def test_weighted_four_way_core_matrix(networks, seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_probabilistic_four_way_core_matrix(networks, seed):
+def test_probabilistic_core_matrix(networks, seed):
     """NEG_LOG_PROB-backed likelihood answers are core-invariant.
 
     The likelihood engine ranks witnesses by failure probability via
     the scaled neg-log-prob quantity (see :mod:`repro.prob.semiring`);
-    all four cores must agree on status, weight (the scaled cost),
+    both cores must agree on status, weight (the scaled cost),
     witness probability, and trace digest.
     """
     network = networks[seed]
@@ -264,6 +269,56 @@ def test_probabilistic_four_way_core_matrix(networks, seed):
         if reference.witness_probability is not None:
             witnessed += 1
     assert witnessed > 0, f"seed {seed}: likelihood matrix never saw a witness"
+
+
+def _link_failure_variants(network, seed, rounds, max_failures=2):
+    """``rounds`` seeded copies of ``network``, each degraded under a
+    random set of 1..``max_failures`` failed links."""
+    rng = random.Random(seed)
+    links = sorted(network.topology.links, key=lambda link: link.name)
+    variants = []
+    for _ in range(rounds):
+        size = rng.randint(1, min(max_failures, len(links)))
+        variants.append(degrade_network(network, frozenset(rng.sample(links, size))))
+    return variants
+
+
+def _compare_cores(variants, queries, label):
+    """Assert every query on every variant digests identically on both
+    cores; return how many of those answers were satisfied."""
+    satisfied = 0
+    for variant in variants:
+        engines = {
+            core: VerificationEngine(variant, core=core, triage="off")
+            for core in CORE_MATRIX
+        }
+        for query in queries:
+            results = {core: engines[core].verify(query) for core in CORE_MATRIX}
+            reference = results["interned"]
+            digest = _result_digest(reference)
+            for core, result in results.items():
+                assert _result_digest(result) == digest, (label, query, core)
+            satisfied += reference.status is Status.SATISFIED
+    return satisfied
+
+
+@pytest.mark.parametrize("name", ["example", "abilene", "nsfnet"])
+def test_cores_agree_across_link_variants(name):
+    """What-if variants (failed links baked in) change the compiled
+    systems; the cores must still agree verdict for verdict and hop
+    for hop."""
+    network = builtin_network(name)
+    queries = [g.text for g in query_corpus(network, seed=1009, count=4)]
+    variants = [network] + _link_failure_variants(network, SEEDS[0], rounds=3)
+    assert _compare_cores(variants, queries, name) > 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cores_agree_on_synthesized_variants(networks, seed):
+    network = networks[seed]
+    queries = [g.text for g in _corpus(network, seed)]
+    variants = _link_failure_variants(network, seed, rounds=4)
+    assert _compare_cores(variants, queries, f"s{seed}") > 0
 
 
 def test_fuzz_corpus_is_not_degenerate(networks):
