@@ -34,7 +34,6 @@ from repro.analysis.triage.overapprox import (
 )
 from repro.analysis.triage.pipeline import run_triage
 from repro.analysis.triage.result import TriageResult, TriageVerdict
-from repro.analysis.triage.stats import TriageStats, triage_stats
 from repro.analysis.triage.underapprox import SearchLimits, find_witness
 
 __all__ = [
@@ -42,11 +41,9 @@ __all__ = [
     "FlowAnalysis",
     "SearchLimits",
     "TriageResult",
-    "TriageStats",
     "TriageVerdict",
     "analyze_flow",
     "find_witness",
     "run_triage",
-    "triage_stats",
     "unsatisfiable_reason",
 ]

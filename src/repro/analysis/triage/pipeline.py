@@ -24,7 +24,6 @@ from typing import Optional, Union
 from repro import obs
 from repro.analysis.triage.overapprox import analyze_flow
 from repro.analysis.triage.result import TriageResult, TriageVerdict
-from repro.analysis.triage.stats import triage_stats
 from repro.analysis.triage.underapprox import SearchLimits, find_witness
 from repro.model.network import MplsNetwork
 from repro.query.ast import Query
@@ -79,7 +78,6 @@ def run_triage(
 
 
 def _record(result: TriageResult) -> TriageResult:
-    triage_stats().record(result)
     if obs.enabled():
         obs.add("triage.runs")
         obs.add(f"triage.{result.verdict.value}")

@@ -18,7 +18,7 @@ plain suites, or ``scenarios → scenarios_to_jobs → run_jobs`` /
 ``JobManager.submit`` for sweeps.
 """
 
-from repro.farm.cache import ArtifactCache, CacheStats, hash_text, worker_cache
+from repro.farm.cache import ArtifactCache, hash_text, worker_cache
 from repro.farm.jobs import FarmRun, JobManager
 from repro.farm.pool import EngineConfig, FarmJob, execute_job, run_jobs
 from repro.farm.scenarios import (
@@ -33,7 +33,6 @@ from repro.farm.scenarios import (
 
 __all__ = [
     "ArtifactCache",
-    "CacheStats",
     "EngineConfig",
     "FarmJob",
     "FarmRun",

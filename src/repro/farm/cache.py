@@ -20,8 +20,7 @@ from __future__ import annotations
 import hashlib
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, Tuple
+from typing import Callable, Hashable, Tuple
 
 from repro import obs
 from repro.model.network import MplsNetwork
@@ -30,27 +29,6 @@ from repro.model.network import MplsNetwork
 def hash_text(text: str) -> str:
     """Content key of a serialized artifact (SHA-256 hex digest)."""
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@dataclass
-class CacheStats:
-    """Hit/miss counters, split by artifact kind."""
-
-    network_hits: int = 0
-    network_misses: int = 0
-    engine_hits: int = 0
-    engine_misses: int = 0
-    evictions: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a JSON-ready mapping."""
-        return {
-            "network_hits": self.network_hits,
-            "network_misses": self.network_misses,
-            "engine_hits": self.engine_hits,
-            "engine_misses": self.engine_misses,
-            "evictions": self.evictions,
-        }
 
 
 class ArtifactCache:
@@ -73,7 +51,6 @@ class ArtifactCache:
         self._networks: "OrderedDict[str, MplsNetwork]" = OrderedDict()
         self._engines: "OrderedDict[Tuple[str, Hashable], object]" = OrderedDict()
         self._lock = threading.Lock()
-        self.stats = CacheStats()
 
     def network(self, key: str, build: Callable[[], MplsNetwork]) -> MplsNetwork:
         """The network stored under ``key``, building it on first use."""
@@ -81,16 +58,13 @@ class ArtifactCache:
             cached = self._networks.get(key)
             if cached is not None:
                 self._networks.move_to_end(key)
-                self.stats.network_hits += 1
                 obs.add("farm.cache.network_hits")
                 return cached
-            self.stats.network_misses += 1
             obs.add("farm.cache.network_misses")
             network = build()
             self._networks[key] = network
             while len(self._networks) > self.max_networks:
                 self._networks.popitem(last=False)
-                self.stats.evictions += 1
                 obs.add("farm.cache.evictions")
             return network
 
@@ -106,44 +80,21 @@ class ArtifactCache:
             cached = self._engines.get(slot)
             if cached is not None:
                 self._engines.move_to_end(slot)
-                self.stats.engine_hits += 1
                 obs.add("farm.cache.engine_hits")
                 return cached
-            self.stats.engine_misses += 1
             obs.add("farm.cache.engine_misses")
             engine = build()
             self._engines[slot] = engine
             while len(self._engines) > self.max_engines:
                 self._engines.popitem(last=False)
-                self.stats.evictions += 1
                 obs.add("farm.cache.evictions")
             return engine
 
-    def compile_memo_stats(self) -> Dict[str, int]:
-        """Aggregate compile-memo counters over the cached engines.
-
-        Cached engines keep a :class:`~repro.verification.compiler
-        .QueryCompiler` whose per-(query, mode, weight) memo is where a
-        sweep's repeated compilations actually get amortized; summing its
-        hit/miss counters here makes that visible next to the engine-level
-        hit rate. Duck-typed so non-engine artifacts (or engines without
-        a compiler) simply contribute nothing.
-        """
-        with self._lock:
-            engines = list(self._engines.values())
-        hits = misses = 0
-        for engine in engines:
-            compiler = getattr(engine, "compiler", None)
-            hits += getattr(compiler, "memo_hits", 0)
-            misses += getattr(compiler, "memo_misses", 0)
-        return {"compile_memo_hits": hits, "compile_memo_misses": misses}
-
     def clear(self) -> None:
-        """Drop every cached artifact and reset the counters."""
+        """Drop every cached artifact."""
         with self._lock:
             self._networks.clear()
             self._engines.clear()
-            self.stats = CacheStats()
 
     def __len__(self) -> int:
         with self._lock:

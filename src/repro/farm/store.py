@@ -50,7 +50,6 @@ import os
 import pickle
 import tempfile
 import threading
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import obs
@@ -65,27 +64,6 @@ except ImportError:  # pragma: no cover - non-POSIX platform
 STORE_ENV = "AALWINES_STORE"
 
 
-@dataclass
-class StoreStats:
-    """Hit/miss/build counters of one :class:`SharedArtifactStore`."""
-
-    hits: int = 0
-    misses: int = 0
-    builds: int = 0
-    lock_waits: int = 0
-    put_failures: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        """The counters as a JSON-ready mapping."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "builds": self.builds,
-            "lock_waits": self.lock_waits,
-            "put_failures": self.put_failures,
-        }
-
-
 class SharedArtifactStore:
     """A content-hash artifact store shared by cooperating processes.
 
@@ -97,8 +75,6 @@ class SharedArtifactStore:
     def __init__(self, root: str) -> None:
         self.root = os.path.abspath(root)
         os.makedirs(self.root, exist_ok=True)
-        self.stats = StoreStats()
-        self._lock = threading.Lock()  # guards stats only
 
     # ------------------------------------------------------------------
     # paths
@@ -110,11 +86,6 @@ class SharedArtifactStore:
         directory = os.path.join(self.root, kind, shard)
         os.makedirs(directory, exist_ok=True)
         return os.path.join(directory, key)
-
-    def _count(self, field: str, value: int = 1) -> None:
-        with self._lock:
-            setattr(self.stats, field, getattr(self.stats, field) + value)
-        obs.add(f"farm.store.{field}", value)
 
     # ------------------------------------------------------------------
     # raw bytes under the build-once protocol
@@ -145,12 +116,12 @@ class SharedArtifactStore:
 
     def _locked(self, path: str):
         """An exclusive advisory lock scoped to ``path`` (context manager)."""
-        return _KeyLock(self, path + ".lock")
+        return _KeyLock(path + ".lock")
 
     def get_bytes(self, kind: str, key: str) -> Optional[bytes]:
         """The stored artifact bytes, or None (counts a hit/miss)."""
         data = self._read(self.path_for(kind, key))
-        self._count("hits" if data is not None else "misses")
+        obs.add("farm.store.hits" if data is not None else "farm.store.misses")
         return data
 
     def put_bytes(self, kind: str, key: str, data: bytes) -> None:
@@ -169,17 +140,17 @@ class SharedArtifactStore:
         path = self.path_for(kind, key)
         data = self._read(path)
         if data is not None:
-            self._count("hits")
+            obs.add("farm.store.hits")
             return data, False
-        self._count("misses")
+        obs.add("farm.store.misses")
         with self._locked(path):
             data = self._read(path)  # double-check under the lock
             if data is not None:
-                self._count("hits")
+                obs.add("farm.store.hits")
                 return data, False
             data = build()
             self._publish(path, data)
-            self._count("builds")
+            obs.add("farm.store.builds")
             return data, True
 
     # ------------------------------------------------------------------
@@ -216,7 +187,7 @@ class SharedArtifactStore:
         except Exception:
             # A torn or version-skewed artifact is a miss, not an error:
             # the caller rebuilds and republishes.
-            self._count("put_failures")
+            obs.add("farm.store.put_failures")
             return None
 
     def put_object(self, kind: str, key: str, value: Any) -> bool:
@@ -225,7 +196,7 @@ class SharedArtifactStore:
         try:
             data = pickle.dumps(value)
         except Exception:
-            self._count("put_failures")
+            obs.add("farm.store.put_failures")
             return False
         self.put_bytes(kind, key, data)
         return True
@@ -244,7 +215,7 @@ class SharedArtifactStore:
             if value is not None:
                 return value, False
             value = build()
-            self._count("builds")
+            obs.add("farm.store.builds")
             self.put_object(kind, key, value)
             return value, True
 
@@ -328,8 +299,6 @@ class SharedArtifactStore:
                     os.unlink(path)
                 except OSError:
                     pass
-        with self._lock:
-            self.stats = StoreStats()
 
     def __repr__(self) -> str:
         return f"SharedArtifactStore({self.root!r})"
@@ -338,8 +307,7 @@ class SharedArtifactStore:
 class _KeyLock:
     """Context manager: an exclusive advisory lock on one lock file."""
 
-    def __init__(self, store: SharedArtifactStore, path: str) -> None:
-        self._store = store
+    def __init__(self, path: str) -> None:
         self._path = path
         self._fd: Optional[int] = None
 
@@ -351,7 +319,7 @@ class _KeyLock:
             # Try without blocking first so contention is observable.
             fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError:
-            self._store._count("lock_waits")
+            obs.add("farm.store.lock_waits")
             fcntl.flock(self._fd, fcntl.LOCK_EX)
         return self
 

@@ -30,7 +30,7 @@ from typing import Any, Dict, Iterable, Optional, Sequence, Tuple, Union
 
 from repro import obs
 from repro.errors import PdaError, VerificationTimeout
-from repro.pda.automaton import EPSILON, IntPAutomaton, State, WeightedPAutomaton
+from repro.pda.automaton import IntPAutomaton, State, WeightedPAutomaton
 from repro.pda.intern import EPSILON_ID, MASK, SHIFT
 from repro.pda.semiring import Semiring
 from repro.pda.system import PushdownSystem

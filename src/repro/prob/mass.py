@@ -20,7 +20,7 @@ the interval instead of silently biasing either bound.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 

@@ -27,9 +27,11 @@ backend as a small stdlib-only JSON-over-HTTP service; any front end
   scenario budget);
 * ``POST /lint`` — body ``{"network": <name or inline JSON network>,
   "failed_links": [...]?, "rules": [...]?, "suppress": [...]?,
-  "min_severity": "info|warning|error"?}``; statically lints the
-  routing tables (:mod:`repro.analysis` — no pushdown system is built)
-  and responds with the full diagnostic report.
+  "min_severity": "info|warning|error"?, "queries": [...]?}``;
+  statically lints the routing tables (:mod:`repro.analysis` — no
+  pushdown system is built) and responds with the full diagnostic
+  report. ``queries`` takes the same list as ``/jobs`` and feeds the
+  query-aware rules.
 
 The asynchronous **job API** runs whole what-if sweeps on the
 verification farm (:mod:`repro.farm`) without holding a connection
@@ -48,14 +50,15 @@ open:
 * ``DELETE /jobs/<id>`` — cancel (running scenarios finish, queued
   ones are dropped).
 
-Observability: ``GET /metrics`` exposes the process's solver counters,
-gauges, and span timings in the Prometheus text exposition format
-(:mod:`repro.obs`), plus the farm artifact-cache hit/miss counters and
-the per-engine compile-memo statistics
-(:meth:`repro.farm.cache.ArtifactCache.compile_memo_stats`). The server enables observation on construction by
-default (``observe=False`` opts out); recording is strictly
-observational, so responses are unaffected — pinned by the regression
-tests in ``tests/obs/``.
+Observability: ``GET /metrics`` serves the :mod:`repro.obs` registry,
+and nothing else, in the Prometheus text exposition format: solver,
+compiler, triage, farm-cache and artifact-store counters, gauges,
+latency histograms and span timings. A counter's series appears once
+it first ticks. The server enables observation on construction by
+default; with ``observe=False`` nothing is recorded, and ``/metrics``
+of a fresh process serves only ``aalwines_observability_enabled 0``.
+Recording is strictly observational, so responses are unaffected —
+pinned by the regression tests in ``tests/obs/``.
 
 Use :class:`VerificationServer` programmatically (it picks a free port
 with ``port=0``, handy for tests) or run ``python -m repro.server``.
@@ -70,8 +73,7 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro import obs
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
-from repro.datasets.example import EXAMPLE_QUERIES
-from repro.errors import NotFoundError, ReproError, VerificationTimeout
+from repro.errors import NotFoundError, ReproError
 from repro.farm.jobs import JobManager
 from repro.io.json_format import network_from_json, network_to_json
 from repro.model.network import MplsNetwork
@@ -83,7 +85,6 @@ from repro.service.core import (
     _BadRequest,
 )
 from repro.service.ratelimit import RateLimitConfig, RateLimiter
-from repro.verification.engine import VerificationEngine
 from repro.viz import result_to_dot
 
 #: Largest request body the service accepts (inline networks are big;
@@ -151,63 +152,6 @@ def _resolve_network_keyed(
     raise ReproError("'network' must be a built-in name or a network object")
 
 
-def _cache_metrics_text(exposition: str) -> str:
-    """Farm artifact-cache and compile-memo counters as Prometheus lines.
-
-    Appended to the ``repro.obs`` exposition at ``GET /metrics`` so the
-    cache effectiveness of in-process sweeps is scrapeable alongside the
-    solver counters. The obs registry already exports a ``farm.cache.*``
-    counter once it has been incremented while enabled; any metric name
-    that is present in ``exposition`` is skipped here so the combined
-    body never declares the same series twice. (Counters of forked pool
-    workers live in their own processes and are not aggregated here.)
-    """
-    from repro.farm.cache import worker_cache
-
-    cache = worker_cache()
-    pairs = [
-        (f"aalwines_farm_cache_{name}_total", value)
-        for name, value in sorted(cache.stats.as_dict().items())
-    ]
-    pairs.extend(
-        (f"aalwines_{name}_total", value)
-        for name, value in sorted(cache.compile_memo_stats().items())
-    )
-    lines: List[str] = []
-    for metric, value in pairs:
-        if f"\n{metric} " in f"\n{exposition}":
-            continue
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
-def _store_metrics_text(exposition: str) -> str:
-    """The shared artifact store's counters as Prometheus lines.
-
-    Empty when no store is attached. Like :func:`_cache_metrics_text`,
-    metric names already present in ``exposition`` are skipped so the
-    combined ``GET /metrics`` body never declares a series twice.
-    """
-    from repro.farm.store import active_store
-
-    store = active_store()
-    if store is None:
-        return ""
-    lines: List[str] = []
-    for name, value in sorted(store.stats.as_dict().items()):
-        metric = f"aalwines_farm_store_{name}_total"
-        if f"\n{metric} " in f"\n{exposition}":
-            continue
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
-
-
 def _resolve_backend(payload: Dict[str, Any]) -> str:
     engine_name = payload.get("engine", "dual")
     if engine_name not in ("dual", "moped", "poststar", "prestar"):
@@ -221,33 +165,6 @@ def _resolve_triage(payload: Dict[str, Any]) -> str:
     if mode not in ("auto", "off", "only"):
         raise ReproError(f"unknown triage mode {mode!r} (use: auto, off, only)")
     return mode
-
-
-def _triage_metrics_text(exposition: str) -> str:
-    """The triage tier's counters as Prometheus lines (``GET /metrics``).
-
-    The obs registry already exports ``triage.*`` counters once the
-    triage spans ran while observation was enabled; like
-    :func:`_cache_metrics_text`, any metric name already present in
-    ``exposition`` is skipped so the combined body never declares the
-    same series twice.
-    """
-    from repro.analysis.triage import triage_stats
-
-    stats = triage_stats().as_dict()
-    lines: List[str] = []
-    for name in sorted(stats):
-        value = stats[name]
-        if not isinstance(value, int):
-            continue  # elapsed_seconds / hit_rate are not counters
-        metric = f"aalwines_triage_{name}_total"
-        if f"\n{metric} " in f"\n{exposition}":
-            continue
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {value}")
-    if not lines:
-        return ""
-    return "\n".join(lines) + "\n"
 
 
 def _trace_steps(trace: Any) -> List[Dict[str, Any]]:
@@ -394,6 +311,32 @@ def _verify_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, 
     return response
 
 
+def _query_entries(entries: Any) -> List[Tuple[str, str]]:
+    """The ``(name, text)`` pairs of a ``"queries"`` field.
+
+    Each entry is a query string, named ``q0000``, ``q0001``, … by
+    position, or a ``{"name", "text"}`` object. ``None`` (an absent
+    field) means no queries; anything else but a list is invalid input.
+    """
+    if entries is None:
+        return []
+    if not isinstance(entries, list):
+        raise ReproError("'queries' must be a list")
+    queries: List[Tuple[str, str]] = []
+    for entry in entries:
+        if isinstance(entry, str):
+            queries.append((f"q{len(queries):04d}", entry))
+        elif isinstance(entry, dict) and isinstance(entry.get("text"), str):
+            queries.append(
+                (str(entry.get("name", f"q{len(queries):04d}")), entry["text"])
+            )
+        else:
+            raise ReproError(
+                "each query must be a string or a {'name', 'text'} object"
+            )
+    return queries
+
+
 def _lint_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, Any]:
     """Handle one POST /lint request body; returns the lint report.
 
@@ -413,18 +356,7 @@ def _lint_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, An
             or not all(isinstance(item, str) for item in value)
         ):
             raise ReproError(f"'{key}' must be a list of strings")
-    queries: List[Tuple[str, str]] = []
-    for entry in payload.get("queries") or ():
-        if isinstance(entry, str):
-            queries.append((f"q{len(queries):04d}", entry))
-        elif isinstance(entry, dict) and "text" in entry:
-            queries.append(
-                (str(entry.get("name", f"q{len(queries):04d}")), entry["text"])
-            )
-        else:
-            raise ReproError(
-                "each query must be a string or a {'name', 'text'} object"
-            )
+    queries = _query_entries(payload.get("queries"))
     try:
         config = LintConfig.of(
             enabled=payload.get("rules"),
@@ -463,24 +395,12 @@ def _submit_job(
 
     network = _resolve_network(payload.get("network", "example"), cache)
 
-    queries: List[Tuple[str, str]] = []
     if "queries" in payload:
-        entries = payload["queries"]
-        if not isinstance(entries, list) or not entries:
+        queries = _query_entries(payload["queries"])
+        if not queries:
             raise ReproError("'queries' must be a non-empty list")
-        for entry in entries:
-            if isinstance(entry, str):
-                queries.append((f"q{len(queries):04d}", entry))
-            elif isinstance(entry, dict) and "text" in entry:
-                queries.append(
-                    (str(entry.get("name", f"q{len(queries):04d}")), entry["text"])
-                )
-            else:
-                raise ReproError(
-                    "each query must be a string or a {'name', 'text'} object"
-                )
     elif "query" in payload:
-        queries.append(("query", payload["query"]))
+        queries = [("query", payload["query"])]
     else:
         raise ReproError("request needs a 'query' or 'queries' field")
 

@@ -48,7 +48,6 @@ from repro.errors import NotFoundError, ReproError, VerificationTimeout
 from repro.service.ratelimit import (
     INTERACTIVE,
     SWEEP,
-    RateLimitConfig,
     RateLimiter,
     client_identity,
 )
@@ -156,8 +155,8 @@ class ServiceCore:
     :class:`repro.server._NetworkCache`; one is created when omitted),
     ``jobs`` the :class:`~repro.farm.jobs.JobManager`. ``limiter``
     defaults to a no-op :class:`RateLimiter`; pass one built from
-    :meth:`RateLimitConfig.production_defaults` (or CLI knobs) to
-    enforce budgets.
+    :meth:`~repro.service.ratelimit.RateLimitConfig.production_defaults`
+    (or CLI knobs) to enforce budgets.
     """
 
     def __init__(
@@ -322,15 +321,9 @@ class ServiceCore:
     # GET handlers
     # ------------------------------------------------------------------
     def _metrics(self) -> ServiceResponse:
-        from repro.server import _cache_metrics_text, _store_metrics_text, _triage_metrics_text
-
-        exposition = obs.metrics_text()
-        exposition += _cache_metrics_text(exposition)
-        exposition += _store_metrics_text(exposition)
-        exposition += _triage_metrics_text(exposition)
         return ServiceResponse(
             status=200,
-            body=exposition.encode("utf-8"),
+            body=obs.metrics_text().encode("utf-8"),
             content_type=obs.PROMETHEUS_CONTENT_TYPE,
         )
 

@@ -184,8 +184,6 @@ class QueryCompiler:
         #: :meth:`attach_artifact_key`).
         self.artifact_key: Optional[str] = None
         self.memo_capacity = memo_capacity
-        self.memo_hits = 0
-        self.memo_misses = 0
         self._memo: "OrderedDict[Tuple[Query, str, Optional[WeightVector]], CompiledQuery]" = (
             OrderedDict()
         )
@@ -263,7 +261,6 @@ class QueryCompiler:
             cached = self._memo.get(memo_key)
             if cached is not None:
                 self._memo.move_to_end(memo_key)
-                self.memo_hits += 1
                 if obs.enabled():
                     obs.add("compiler.memo_hits")
                 return cached
@@ -281,7 +278,6 @@ class QueryCompiler:
                     store.put_object(
                         "compiled", store_key, replace(compiled, network=None)
                     )
-            self.memo_misses += 1
             if obs.enabled():
                 obs.add("compiler.memo_misses")
             self._memo[memo_key] = compiled

@@ -3,12 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.analysis.triage import (
-    TriageResult,
-    TriageVerdict,
-    run_triage,
-    triage_stats,
-)
+from repro.analysis.triage import TriageResult, TriageVerdict, run_triage
 from repro.datasets.example import build_example_network
 from repro.errors import AnalysisError, QuerySemanticsError, QuerySyntaxError
 from repro.model.trace import check_trace
@@ -72,21 +67,19 @@ def test_query_errors_propagate(network):
 
 
 def test_stats_accumulate(network):
-    stats = triage_stats()
-    stats.reset()
-    try:
+    with obs.recording():
         run_triage(network, "<ip> [.#v0] .* [v3#.] <ip> 0")
         run_triage(network, "<ip ip> .* <ip> 0")
         run_triage(network, "<ip> [.#v0] .* <mpls smpls ip> 1")
-        snapshot = stats.as_dict()
-        assert snapshot["runs"] == 3
-        assert snapshot["proven_yes"] == 1
-        assert snapshot["proven_no"] == 1
-        assert snapshot["inconclusive"] == 1
-        assert snapshot["saved_pipelines"] == 2
-        assert stats.hit_rate == pytest.approx(2 / 3)
-    finally:
-        stats.reset()
+        runs = obs.counter("triage.runs")
+        proven_yes = obs.counter("triage.proven_yes")
+        proven_no = obs.counter("triage.proven_no")
+        assert runs == 3
+        assert proven_yes == 1
+        assert proven_no == 1
+        assert obs.counter("triage.inconclusive") == 1
+        assert obs.counter("triage.saved_pipelines") == 2
+    assert (proven_yes + proven_no) / runs == pytest.approx(2 / 3)
 
 
 def test_obs_counters_when_enabled(network):

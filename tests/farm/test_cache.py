@@ -24,29 +24,32 @@ class TestNetworkMemoization:
             builds.append(1)
             return build_example_network()
 
-        first = cache.network("k1", build)
-        second = cache.network("k1", build)
+        with obs.recording():
+            first = cache.network("k1", build)
+            second = cache.network("k1", build)
+            assert obs.counter("farm.cache.network_misses") == 1
+            assert obs.counter("farm.cache.network_hits") == 1
         assert first is second
         assert len(builds) == 1
-        assert cache.stats.network_misses == 1
-        assert cache.stats.network_hits == 1
 
     def test_distinct_keys_build_separately(self):
         cache = ArtifactCache()
-        a = cache.network("a", build_example_network)
-        b = cache.network("b", build_example_network)
+        with obs.recording():
+            a = cache.network("a", build_example_network)
+            b = cache.network("b", build_example_network)
+            assert obs.counter("farm.cache.network_misses") == 2
         assert a is not b
-        assert cache.stats.network_misses == 2
 
     def test_lru_eviction(self):
         cache = ArtifactCache(max_networks=2)
-        cache.network("a", build_example_network)
-        cache.network("b", build_example_network)
-        cache.network("a", build_example_network)  # refresh a
-        cache.network("c", build_example_network)  # evicts b (oldest)
-        assert cache.stats.evictions == 1
-        cache.network("a", build_example_network)
-        assert cache.stats.network_hits == 2  # a stayed cached
+        with obs.recording():
+            cache.network("a", build_example_network)
+            cache.network("b", build_example_network)
+            cache.network("a", build_example_network)  # refresh a
+            cache.network("c", build_example_network)  # evicts b (oldest)
+            assert obs.counter("farm.cache.evictions") == 1
+            cache.network("a", build_example_network)
+            assert obs.counter("farm.cache.network_hits") == 2  # a stayed cached
 
 
 class TestEngineMemoization:
@@ -57,13 +60,14 @@ class TestEngineMemoization:
         network = build_example_network()
         dual = EngineConfig()
         weighted = EngineConfig(weight="failures")
-        e1 = cache.engine("k", dual, lambda: dual.build(network))
-        e2 = cache.engine("k", dual, lambda: dual.build(network))
-        e3 = cache.engine("k", weighted, lambda: weighted.build(network))
+        with obs.recording():
+            e1 = cache.engine("k", dual, lambda: dual.build(network))
+            e2 = cache.engine("k", dual, lambda: dual.build(network))
+            e3 = cache.engine("k", weighted, lambda: weighted.build(network))
+            assert obs.counter("farm.cache.engine_hits") == 1
+            assert obs.counter("farm.cache.engine_misses") == 2
         assert e1 is e2
         assert e1 is not e3
-        assert cache.stats.engine_hits == 1
-        assert cache.stats.engine_misses == 2
 
     def test_triage_selection_is_part_of_the_engine_key(self):
         """Regression: configs differing only in the triage mode must
@@ -77,22 +81,29 @@ class TestEngineMemoization:
         full = EngineConfig()
         only = EngineConfig(triage="only")
         assert full != only  # frozen dataclass equality keys the cache
-        e1 = cache.engine("k", full, lambda: full.build(network))
-        e2 = cache.engine("k", only, lambda: only.build(network))
-        assert e1 is not e2
-        assert e1.triage == "off" and e2.triage == "only"
-        assert cache.engine("k", full, lambda: full.build(network)) is e1
-        assert cache.engine("k", only, lambda: only.build(network)) is e2
-        assert cache.stats.engine_misses == 2
-        assert cache.stats.engine_hits == 2
+        with obs.recording():
+            e1 = cache.engine("k", full, lambda: full.build(network))
+            e2 = cache.engine("k", only, lambda: only.build(network))
+            assert e1 is not e2
+            assert e1.triage == "off" and e2.triage == "only"
+            assert cache.engine("k", full, lambda: full.build(network)) is e1
+            assert cache.engine("k", only, lambda: only.build(network)) is e2
+            assert obs.counter("farm.cache.engine_misses") == 2
+            assert obs.counter("farm.cache.engine_hits") == 2
 
     def test_clear_resets_everything(self):
         cache = ArtifactCache()
-        cache.network("k", build_example_network)
+        first = cache.network("k", build_example_network)
         cache.clear()
         assert len(cache) == 0
-        assert cache.stats.network_misses == 0
-        assert cache.stats.as_dict()["network_hits"] == 0
+        builds = []
+
+        def build():
+            builds.append(1)
+            return build_example_network()
+
+        assert cache.network("k", build) is not first
+        assert builds == [1]  # the next lookup rebuilt
 
 
 def test_worker_cache_is_a_process_singleton():

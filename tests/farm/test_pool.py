@@ -8,7 +8,7 @@ import pytest
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
 from repro.errors import FarmError
 from repro.farm.cache import hash_text
-from repro.farm.pool import EngineConfig, FarmJob, execute_job, run_jobs
+from repro.farm.pool import EngineConfig, FarmJob, _init_worker, execute_job, run_jobs
 from repro.io.json_format import network_to_json
 from repro.verification.engine import dual_engine, weighted_engine
 
@@ -48,7 +48,11 @@ class TestEngineConfig:
 
 
 class TestExecuteJob:
-    def test_runs_one_job_in_process(self, network, payloads):
+    def test_runs_one_job_in_process(self, network, payloads, monkeypatch):
+        # Register the payload the way a pool worker receives it, in a
+        # registry that monkeypatch swaps back out afterwards.
+        monkeypatch.setattr("repro.farm.pool._NETWORK_PAYLOADS", {})
+        _init_worker(payloads)
         (job,) = _jobs_for(payloads, [("phi0", EXAMPLE_QUERIES[0][1])])
         item = execute_job(job)
         assert item.outcome == "satisfied"

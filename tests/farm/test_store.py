@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+from repro import obs
 from repro.farm.store import (
     STORE_ENV,
     SharedArtifactStore,
@@ -49,14 +50,15 @@ class TestBuildOnce:
             calls.append(1)
             return b"artifact"
 
-        data, built = store.get_or_build_bytes("compiled", KEY, build)
-        assert (data, built) == (b"artifact", True)
-        data, built = store.get_or_build_bytes("compiled", KEY, build)
-        assert (data, built) == (b"artifact", False)
+        with obs.recording():
+            data, built = store.get_or_build_bytes("compiled", KEY, build)
+            assert (data, built) == (b"artifact", True)
+            data, built = store.get_or_build_bytes("compiled", KEY, build)
+            assert (data, built) == (b"artifact", False)
+            assert obs.counter("farm.store.builds") == 1
+            assert obs.counter("farm.store.hits") == 1
+            assert obs.counter("farm.store.misses") == 1
         assert len(calls) == 1
-        assert store.stats.builds == 1
-        assert store.stats.hits == 1
-        assert store.stats.misses == 1
 
     def test_get_put_bytes_roundtrip(self, store):
         assert store.get_bytes("network", KEY) is None
@@ -89,19 +91,22 @@ class TestBuildOnce:
         store.put_bytes("network", KEY, b"x")
         store.clear()
         assert store.get_bytes("network", KEY) is None
-        assert store.stats.builds == 0
+        data, built = store.get_or_build_bytes("network", KEY, lambda: b"y")
+        assert (data, built) == (b"y", True)  # the next lookup rebuilt
 
 
 class TestPickleFailures:
     def test_unpicklable_put_is_counted_not_raised(self, store):
-        assert store.put_object("compiled", KEY, lambda: None) is False
-        assert store.stats.put_failures == 1
+        with obs.recording():
+            assert store.put_object("compiled", KEY, lambda: None) is False
+            assert obs.counter("farm.store.put_failures") == 1
         assert store.get_object("compiled", KEY) is None
 
     def test_corrupt_artifact_reads_as_miss(self, store):
         store.put_bytes("compiled", KEY, b"\x80\x04 definitely not pickle")
-        assert store.get_object("compiled", KEY) is None
-        assert store.stats.put_failures == 1
+        with obs.recording():
+            assert store.get_object("compiled", KEY) is None
+            assert obs.counter("farm.store.put_failures") == 1
 
     def test_unpicklable_build_result_still_returned(self, store):
         value, built = store.get_or_build_object(

@@ -9,6 +9,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.errors import NotFoundError, VerificationTimeout
 from repro.service.core import (
     ServiceCore,
@@ -218,6 +219,47 @@ class TestAdmissionControl:
         core = core_with()  # default no-op limiter
         for _ in range(50):
             assert get(core, "/networks").status == 200
+
+
+class TestMetrics:
+    """GET /metrics serves the repro.obs registry and nothing else."""
+
+    def test_body_is_the_obs_exposition(self):
+        core = core_with()
+        verify = json.dumps(
+            {"network": "example", "query": "<ip> [.#v0] .* [v3#.] <ip> 0"}
+        ).encode("utf-8")
+        with obs.recording():
+            for _ in range(2):  # the second is a compile-memo hit
+                assert core.handle(
+                    ServiceRequest("POST", "/verify", body=verify)
+                ).status == 200
+            expected = obs.metrics_text()
+            response = get(core, "/metrics")
+        assert response.status == 200
+        assert response.content_type == obs.PROMETHEUS_CONTENT_TYPE
+        assert response.body == expected.encode("utf-8")
+        series = [
+            line.split(" ", 1)[0]
+            for line in expected.splitlines()
+            if line and not line.startswith("#")
+        ]
+        assert len(series) == len(set(series))
+        assert "aalwines_compiler_memo_hits_total" in series
+
+    def test_unobserved_registry_serves_only_the_switch(self):
+        previous = obs.enabled()
+        obs.disable()
+        obs.reset()
+        try:
+            response = get(core_with(), "/metrics")
+        finally:
+            if previous:
+                obs.enable()
+        assert response.body == (
+            b"# TYPE aalwines_observability_enabled gauge\n"
+            b"aalwines_observability_enabled 0\n"
+        )
 
 
 def parse_sse(chunks):

@@ -350,6 +350,8 @@ class TestJobApi:
                 "engine": "moped",
                 "weight": "hops",
             },
+            {"network": "example", "queries": "<ip> . <ip> 0"},  # not a list
+            {"network": "example", "queries": [{"name": "x", "text": 5}]},
         ],
     )
     def test_bad_job_submissions(self, server, payload):
@@ -414,12 +416,27 @@ class TestLint:
             {"network": "example", "failed_links": "e5"},  # not a list
             {"network": "example", "rules": [1, 2]},  # not strings
             {"network": "arpanet"},  # unknown network
+            # Regressions: a string was linted once per character, and
+            # a number was a 500 ("'int' object is not iterable").
+            {"network": "example", "queries": "<ip ip> .* <ip> 0"},
+            {"network": "example", "queries": 5},
+            {"network": "example", "queries": [{"name": "x"}]},  # no text
+            {"network": "example", "queries": [{"name": "x", "text": 5}]},
         ],
     )
     def test_lint_bad_requests(self, server, payload):
         status, document = request(server, "POST", "/lint", payload)
         assert status == 400
         assert "error" in document
+
+    def test_lint_queries_are_optional(self, server):
+        for extra in ({}, {"queries": None}, {"queries": []}):
+            status, document = request(
+                server, "POST", "/lint",
+                dict({"network": "example", "rules": ["DP007"]}, **extra),
+            )
+            assert status == 200
+            assert document["diagnostics"] == []
 
 
 class TestJobPreflight:
@@ -686,6 +703,23 @@ class TestProbabilisticJobs:
 
 class TestCacheMetrics:
     def test_metrics_expose_cache_counters(self, server):
+        """Every counter a /verify pair and an inline /jobs sweep tick on
+        a cold artifact cache is served once, under its registry name."""
+        from repro.farm.cache import worker_cache
+
+        worker_cache().clear()
+        query = "<ip> [.#v0] .* [v3#.] <ip> 0"
+        for _ in range(2):  # the second request hits the engine and memo
+            status, _document = request(
+                server, "POST", "/verify", {"network": "example", "query": query}
+            )
+            assert status == 200
+        status, document = request(
+            server, "POST", "/jobs",
+            {"network": "example", "query": query, "sweep_failures": 1},
+        )
+        assert status == 202
+        assert server.jobs.get(document["id"]).wait(60)
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=60
         )
@@ -696,16 +730,21 @@ class TestCacheMetrics:
         finally:
             connection.close()
         assert response.status == 200
+        values = dict(
+            line.split(" ", 1)
+            for line in body.splitlines()
+            if line and not line.startswith("#")
+        )
         for metric in (
-            "aalwines_farm_cache_network_hits_total",
             "aalwines_farm_cache_network_misses_total",
+            "aalwines_farm_cache_engine_misses_total",
             "aalwines_farm_cache_engine_hits_total",
-            "aalwines_farm_cache_evictions_total",
-            "aalwines_compile_memo_hits_total",
-            "aalwines_compile_memo_misses_total",
+            "aalwines_compiler_memo_misses_total",
+            "aalwines_compiler_memo_hits_total",
         ):
             assert f"# TYPE {metric} counter" in body
-            assert f"\n{metric} " in body
+            assert int(values[metric]) > 0
+        assert "aalwines_compile_memo_" not in body
 
     def test_no_metric_is_declared_twice(self, server):
         """The obs registry exports farm.cache.* counters of its own once
@@ -814,7 +853,11 @@ class TestTriage:
         )
 
     def test_metrics_expose_triage_counters_once(self, server):
-        # The verifications above populated the counters.
+        status, _document = request(
+            server, "POST", "/verify",
+            {"network": "example", "query": self.UNSAT, "triage": "auto"},
+        )
+        assert status == 200
         connection = http.client.HTTPConnection(
             server.host, server.port, timeout=60
         )

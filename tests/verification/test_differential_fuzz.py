@@ -27,6 +27,7 @@ import random
 import pytest
 
 from repro import obs
+from repro.datasets.queries import GeneratedQuery
 from repro.model.srlg import degrade_network
 from repro.verification.engine import (
     VerificationEngine,
@@ -89,8 +90,15 @@ ORACLE_INITIAL_HEADER = 3
 _network = synthesized_network
 
 
+#: Unsatisfiable on every dataplane by construction: an IP label only
+#: ever sits at the bottom of a header, so no valid header matches
+#: ``ip ip``. Generated suites can come out all-satisfied on some seeds;
+#: this entry keeps an UNSATISFIED answer in every engine's corpus.
+UNSATISFIABLE = GeneratedQuery("unsat", "<ip ip> .* <ip> 0", "unsatisfiable", 0)
+
+
 def _corpus(network, seed: int):
-    return query_corpus(network, seed)
+    return [*query_corpus(network, seed), UNSATISFIABLE]
 
 
 def _cases():
