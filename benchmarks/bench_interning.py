@@ -16,7 +16,7 @@ byte-identical — a speedup from a diverging solver would be meaningless.
 
 Run standalone::
 
-    python -m benchmarks.bench_interning           # full sweep + JSON dumps
+    python -m benchmarks.bench_interning           # full sweep + BENCH_interning.json
     python -m benchmarks.bench_interning --quick   # CI perf smoke (exits 1
                                                    # if interned is slower)
 """
@@ -31,7 +31,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional, Tuple
 
-from benchmarks.common import RESULTS_DIR, save_results
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
 from repro.datasets.queries import table1_queries
 from repro.pda.solver import solve_reachability
@@ -208,8 +207,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {mismatch}", file=sys.stderr)
         return 2
 
-    save_results("bench_interning", payload)
-    print(f"results: {os.path.join(RESULTS_DIR, 'bench_interning.json')}")
     if not args.quick:
         with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

@@ -20,7 +20,7 @@ the full enumeration.
 
 Run standalone::
 
-    python -m benchmarks.bench_prob_sweep           # full sweep + JSON dumps
+    python -m benchmarks.bench_prob_sweep           # full sweep + BENCH_prob_sweep.json
     python -m benchmarks.bench_prob_sweep --quick   # CI perf smoke (exits 1
                                                     # when the ordering wins
                                                     # nothing, 2 on mismatch)
@@ -35,7 +35,6 @@ import sys
 import time
 from typing import Any, Dict, List, Optional
 
-from benchmarks.common import RESULTS_DIR, save_results
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
 from repro.prob import (
     FailureModel,
@@ -278,8 +277,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"  {mismatch}", file=sys.stderr)
         return 2
 
-    save_results("bench_prob_sweep", payload)
-    print(f"results: {os.path.join(RESULTS_DIR, 'bench_prob_sweep.json')}")
     if not args.quick:
         with open(BASELINE_PATH, "w", encoding="utf-8") as handle:
             json.dump(payload, handle, indent=2)

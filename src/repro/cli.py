@@ -435,8 +435,6 @@ def _run_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
         queries = [("query", args.query)]
     else:
         raise ReproError("--sweep-failures needs --query or --queries-file")
-    if args.engine == "moped" and args.weight:
-        raise ReproError("the Moped backend does not support weighted verification")
 
     config = EngineConfig(
         backend=_backend_of(args),
@@ -499,8 +497,6 @@ def _run_prob_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
 
     if not args.query:
         raise ReproError("--prob-threshold/--sweep-prob need --query")
-    if args.engine == "moped" and args.weight:
-        raise ReproError("the Moped backend does not support weighted verification")
     config = EngineConfig(
         backend=_backend_of(args),
         use_reductions=not args.no_reductions,
@@ -566,9 +562,9 @@ def build_serve_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--store",
         metavar="DIR",
-        help="shared artifact store directory: compiled networks and "
-        "queries are built once and reused across workers, and workers "
-        "see each other's job runs (strongly recommended with --workers)",
+        help="shared artifact store directory: workers reuse each "
+        "other's compiled queries and see each other's job runs "
+        "(strongly recommended with --workers)",
     )
     limits = parser.add_argument_group("per-client limits")
     limits.add_argument(

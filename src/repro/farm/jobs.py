@@ -211,11 +211,11 @@ class JobManager:
     workers* a view of its runs: run ids embed the owning pid (so N
     forked workers never collide), snapshots are published to
     ``<store>/jobs/<id>.json`` (throttled while running, always on
-    finish), network payloads are published so any worker's farm pool
-    can rebuild them, and a cancellation requested by a sibling (via a
-    marker file) is honoured between jobs. :meth:`snapshot_of`,
-    :meth:`all_snapshots`, :meth:`request_cancel` and
-    :meth:`active_count` transparently cover both local and sibling
+    finish), and a cancellation requested by a sibling (via a marker
+    file) is honoured between jobs. A run always executes in the
+    process that submitted it, so its networks never go to the store.
+    :meth:`snapshot_of`, :meth:`all_snapshots`, :meth:`request_cancel`
+    and :meth:`active_count` transparently cover both local and sibling
     runs — they are what the HTTP layer calls.
     """
 
@@ -279,14 +279,9 @@ class JobManager:
             self._threads[run_id] = thread
             self._evict_finished()
         run.state = RUNNING
-        if self.store is not None:
-            # Sibling workers' farm pools resolve network payloads from
-            # the store (see pool._network_for), and the snapshot makes
-            # the run visible on their /jobs endpoints immediately.
-            for key, payload in networks.items():
-                if self.store.get_text("network", key) is None:
-                    self.store.put_text("network", key, payload)
-            self._publish(run, force=True)
+        # The snapshot makes the run visible on sibling workers' /jobs
+        # endpoints immediately.
+        self._publish(run, force=True)
         if obs.enabled():
             obs.add("farm.runs_submitted")
             obs.add("farm.jobs_submitted", len(jobs))

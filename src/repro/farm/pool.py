@@ -7,7 +7,8 @@ careful layer over :class:`concurrent.futures.ProcessPoolExecutor`:
 * **Picklable job specs.** A :class:`FarmJob` carries only strings: a
   query, a content-hash key naming its network, and an
   :class:`EngineConfig`. The network JSON payloads travel once per
-  worker (through the pool initializer), not once per job.
+  worker (through the pool initializer), not once per job; the
+  in-process path reads the run's own networks instead.
 * **Per-worker artifact reuse.** Workers resolve the key through the
   process-local :func:`~repro.farm.cache.worker_cache`, so a worker
   builds each distinct network variant and engine exactly once no
@@ -37,7 +38,7 @@ from repro.errors import FarmError
 from repro.farm.cache import worker_cache
 from repro.model.network import MplsNetwork
 from repro.verification.batch import BatchItem, run_single
-from repro.verification.engine import VerificationEngine
+from repro.verification.engine import VerificationEngine, check_settings
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,11 @@ class EngineConfig:
     #: Static triage mode ("auto" / "off" / "only"); settled scenarios
     #: skip compilation entirely on the worker.
     triage: str = "off"
+
+    def __post_init__(self) -> None:
+        # Reject settings no engine can be built from here, once per
+        # sweep, rather than as an error item from every job.
+        check_settings(self.backend, self.weight, self.triage)
 
     @classmethod
     def from_engine(cls, engine: VerificationEngine) -> "EngineConfig":
@@ -92,8 +98,8 @@ class EngineConfig:
 
 @dataclass(frozen=True)
 class FarmJob:
-    """One unit of farm work: verify ``query`` on the network stored
-    under ``network_key`` with an engine built from ``config``."""
+    """One unit of farm work: verify ``query`` on the network whose
+    content hash is ``network_key`` with an engine built from ``config``."""
 
     name: str
     query: str
@@ -106,9 +112,8 @@ class FarmJob:
 # worker-side machinery
 # ----------------------------------------------------------------------
 
-#: Serialized networks this worker may build, keyed by content hash.
-#: Populated by the pool initializer (worker processes) or directly by
-#: the in-process path.
+#: Serialized networks this pool worker may build, keyed by content
+#: hash; filled by the pool initializer, in worker processes only.
 _NETWORK_PAYLOADS: Dict[str, str] = {}
 
 #: Pre-built networks inherited from the parent under the ``fork``
@@ -127,21 +132,24 @@ def _init_worker(payloads: Dict[str, str], observe: bool = False) -> None:
         obs.enable()
 
 
-def _network_for(key: str) -> MplsNetwork:
-    def build() -> MplsNetwork:
-        prebuilt = _PREBUILT.get(key)
-        if prebuilt is not None:
-            return prebuilt
-        payload = _NETWORK_PAYLOADS.get(key)
-        if payload is None:
-            # Shared-store fallback: in a multi-worker deployment the
-            # sweep may have been submitted by a *sibling* server
-            # process, whose JobManager published the payloads there.
-            from repro.farm.store import active_store
+def _network_for(
+    key: str,
+    payloads: Mapping[str, str],
+    prebuilt: Mapping[str, MplsNetwork],
+) -> MplsNetwork:
+    """The network named ``key``, through this process's artifact cache.
 
-            store = active_store()
-            if store is not None:
-                payload = store.get_text("network", key)
+    A miss takes the pre-built network when there is one and otherwise
+    deserializes its JSON payload. A run executes only in the process
+    that submitted it, so ``payloads``/``prebuilt`` (the run's own, or a
+    pool worker's module globals) always hold every key of the run.
+    """
+
+    def build() -> MplsNetwork:
+        network = prebuilt.get(key)
+        if network is not None:
+            return network
+        payload = payloads.get(key)
         if payload is None:
             raise FarmError(f"no network registered under key {key[:12]}…")
         from repro.io.json_format import network_from_json
@@ -151,14 +159,19 @@ def _network_for(key: str) -> MplsNetwork:
     return worker_cache().network(key, build)
 
 
-def execute_job(job: FarmJob) -> BatchItem:
+def execute_job(
+    job: FarmJob,
+    payloads: Mapping[str, str],
+    prebuilt: Mapping[str, MplsNetwork],
+) -> BatchItem:
     """Run one job in this process, reusing cached artifacts.
 
     This is the single verification code path of the farm: the process
-    pool calls it in workers, and the ``max_workers <= 1`` fallback
-    calls it inline.
+    pool calls it in workers with the pool's module globals, and the
+    ``max_workers <= 1`` fallback calls it inline with the run's own
+    ``payloads`` and ``prebuilt``.
     """
-    network = _network_for(job.network_key)
+    network = _network_for(job.network_key, payloads, prebuilt)
     engine = worker_cache().engine(
         job.network_key, job.config, lambda: job.config.build(network)
     )
@@ -183,7 +196,7 @@ def execute_chunk(
     can fold worker-side counters into the parent registry.
     """
     before = obs.snapshot() if obs.enabled() else None
-    items = [_safe_execute(job) for job in chunk]
+    items = [_safe_execute(job, _NETWORK_PAYLOADS, _PREBUILT) for job in chunk]
     delta = None
     if before is not None:
         delta = obs.diff_snapshots(obs.snapshot(), before)
@@ -254,20 +267,13 @@ def run_jobs(
         return results
 
     if max_workers <= 1:
-        _NETWORK_PAYLOADS.update(networks)
-        if prebuilt:
-            _PREBUILT.update(prebuilt)
-        try:
-            for index, job in enumerate(jobs):
-                if cancelled is not None and cancelled():
-                    break
-                item = _safe_execute(job)
-                results[index] = item
-                if progress is not None:
-                    progress(index, total, item)
-        finally:
-            for key in prebuilt or ():
-                _PREBUILT.pop(key, None)
+        for index, job in enumerate(jobs):
+            if cancelled is not None and cancelled():
+                break
+            item = _safe_execute(job, networks, prebuilt or {})
+            results[index] = item
+            if progress is not None:
+                progress(index, total, item)
         return results
 
     # Parent-side prebuilt networks become visible to fork()ed workers
@@ -318,10 +324,14 @@ def run_jobs(
     return results
 
 
-def _safe_execute(job: FarmJob) -> BatchItem:
+def _safe_execute(
+    job: FarmJob,
+    payloads: Mapping[str, str],
+    prebuilt: Mapping[str, MplsNetwork],
+) -> BatchItem:
     """In-process execution with the pool's never-raise contract."""
     try:
-        return execute_job(job)
+        return execute_job(job, payloads, prebuilt)
     except Exception as error:
         return BatchItem(
             name=job.name,

@@ -1,16 +1,16 @@
-"""Disk-backed shared artifact store: build once, reuse across processes.
+"""Disk-backed shared artifact store: reuse compiled queries across processes.
 
 The in-memory :class:`~repro.farm.cache.ArtifactCache` amortizes builds
 *within* one process; a production deployment runs N server workers (see
 ``aalwines serve --workers``), and without sharing, every worker pays
 the same compilations again. This module provides the missing tier: a
 content-hash-keyed store on disk, safe under concurrent access from any
-number of processes.
+number of processes. It holds two things only: compiled query artifacts
+and the job-run snapshots that let sibling workers answer ``/jobs``.
 
 Layout (everything lives under one root directory)::
 
     <root>/
-        network/<aa>/<key>            # network JSON payloads (text)
         compiled/<aa>/<key>           # pickled CompiledQuery artifacts
         jobs/<id>.json                # cross-process job-run snapshots
         jobs/<id>.cancel              # cancellation markers
@@ -18,21 +18,14 @@ Layout (everything lives under one root directory)::
 where ``<aa>`` is the first two hex digits of the SHA-256 ``<key>``
 (a fan-out shard so no directory grows unbounded).
 
-Concurrency protocol — the classic build-once dance:
+Concurrency protocol — lock-free publication: every file is written to
+a temp file and ``os.replace``-d into place, so a visible file is always
+complete and readers never lock. Two processes that miss the same key
+may both build it and both publish; artifacts are deterministic
+functions of their key, so they publish the same bytes and the last
+writer wins.
 
-1. **Readers never lock.** Artifacts are written to a temp file and
-   ``os.replace``-d into place, so a visible artifact file is always
-   complete.
-2. **Builders lock per key.** A process that misses takes an exclusive
-   ``fcntl`` lock on ``<key>.lock``, re-checks the artifact (another
-   process may have built it while we waited — the double-checked
-   pattern), builds, publishes, releases. Two processes racing to build
-   the same key therefore produce exactly one build; the loser reads
-   the winner's artifact. This is pinned by
-   ``tests/farm/test_store.py``.
-
-Artifacts are pure deterministic functions of their content-hash key,
-so the store needs no invalidation; ``clear()`` exists for tests and
+Artifacts need no invalidation; ``clear()`` exists for tests and
 operators. Pickle failures (an artifact that cannot cross process
 boundaries) are counted, never raised — the caller just rebuilds
 locally, exactly as if the store were cold.
@@ -50,14 +43,9 @@ import os
 import pickle
 import tempfile
 import threading
-from typing import Any, Callable, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro import obs
-
-try:  # POSIX file locking; the store degrades to lock-free on exotic OSes
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platform
-    fcntl = None  # type: ignore[assignment]
 
 #: Environment variable naming the store directory; read by
 #: :func:`active_store` so farm pool workers find the parent's store.
@@ -67,9 +55,9 @@ STORE_ENV = "AALWINES_STORE"
 class SharedArtifactStore:
     """A content-hash artifact store shared by cooperating processes.
 
-    ``kind`` namespaces artifacts ("network", "compiled", …); ``key`` is
-    a content hash (see :func:`repro.farm.cache.hash_text`). Text and
-    pickled-object artifacts share one locking protocol.
+    ``kind`` namespaces artifacts ("compiled"); ``key`` is a content
+    hash (see :func:`repro.farm.cache.hash_text`). Artifacts and job
+    snapshots share one lock-free publication protocol.
     """
 
     def __init__(self, root: str) -> None:
@@ -88,7 +76,7 @@ class SharedArtifactStore:
         return os.path.join(directory, key)
 
     # ------------------------------------------------------------------
-    # raw bytes under the build-once protocol
+    # raw bytes
     # ------------------------------------------------------------------
     def _read(self, path: str) -> Optional[bytes]:
         try:
@@ -114,10 +102,6 @@ class SharedArtifactStore:
                 pass
             raise
 
-    def _locked(self, path: str):
-        """An exclusive advisory lock scoped to ``path`` (context manager)."""
-        return _KeyLock(path + ".lock")
-
     def get_bytes(self, kind: str, key: str) -> Optional[bytes]:
         """The stored artifact bytes, or None (counts a hit/miss)."""
         data = self._read(self.path_for(kind, key))
@@ -128,51 +112,6 @@ class SharedArtifactStore:
         """Publish artifact bytes (last writer wins; artifacts are
         deterministic so every writer writes equivalent content)."""
         self._publish(self.path_for(kind, key), data)
-
-    def get_or_build_bytes(
-        self, kind: str, key: str, build: Callable[[], bytes]
-    ) -> Tuple[bytes, bool]:
-        """The artifact bytes, building (once across processes) on miss.
-
-        Returns ``(data, built)`` where ``built`` says *this* call ran
-        the builder.
-        """
-        path = self.path_for(kind, key)
-        data = self._read(path)
-        if data is not None:
-            obs.add("farm.store.hits")
-            return data, False
-        obs.add("farm.store.misses")
-        with self._locked(path):
-            data = self._read(path)  # double-check under the lock
-            if data is not None:
-                obs.add("farm.store.hits")
-                return data, False
-            data = build()
-            self._publish(path, data)
-            obs.add("farm.store.builds")
-            return data, True
-
-    # ------------------------------------------------------------------
-    # text artifacts (network JSON payloads)
-    # ------------------------------------------------------------------
-    def get_text(self, kind: str, key: str) -> Optional[str]:
-        """A stored text artifact, or None."""
-        data = self.get_bytes(kind, key)
-        return None if data is None else data.decode("utf-8")
-
-    def put_text(self, kind: str, key: str, text: str) -> None:
-        """Publish a text artifact."""
-        self.put_bytes(kind, key, text.encode("utf-8"))
-
-    def get_or_build_text(
-        self, kind: str, key: str, build: Callable[[], str]
-    ) -> Tuple[str, bool]:
-        """Text variant of :meth:`get_or_build_bytes`."""
-        data, built = self.get_or_build_bytes(
-            kind, key, lambda: build().encode("utf-8")
-        )
-        return data.decode("utf-8"), built
 
     # ------------------------------------------------------------------
     # pickled-object artifacts (compiled queries)
@@ -200,24 +139,6 @@ class SharedArtifactStore:
             return False
         self.put_bytes(kind, key, data)
         return True
-
-    def get_or_build_object(
-        self, kind: str, key: str, build: Callable[[], Any]
-    ) -> Tuple[Any, bool]:
-        """Object variant of :meth:`get_or_build_bytes`; unpicklable
-        build results are returned unstored."""
-        path = self.path_for(kind, key)
-        value = self.get_object(kind, key)
-        if value is not None:
-            return value, False
-        with self._locked(path):
-            value = self.get_object(kind, key)
-            if value is not None:
-                return value, False
-            value = build()
-            obs.add("farm.store.builds")
-            self.put_object(kind, key, value)
-            return value, True
 
     # ------------------------------------------------------------------
     # job-run snapshots (cross-process /jobs visibility)
@@ -302,33 +223,6 @@ class SharedArtifactStore:
 
     def __repr__(self) -> str:
         return f"SharedArtifactStore({self.root!r})"
-
-
-class _KeyLock:
-    """Context manager: an exclusive advisory lock on one lock file."""
-
-    def __init__(self, path: str) -> None:
-        self._path = path
-        self._fd: Optional[int] = None
-
-    def __enter__(self) -> "_KeyLock":
-        if fcntl is None:  # pragma: no cover - non-POSIX platform
-            return self
-        self._fd = os.open(self._path, os.O_CREAT | os.O_RDWR, 0o644)
-        try:
-            # Try without blocking first so contention is observable.
-            fcntl.flock(self._fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
-        except OSError:
-            obs.add("farm.store.lock_waits")
-            fcntl.flock(self._fd, fcntl.LOCK_EX)
-        return self
-
-    def __exit__(self, *_exc: object) -> None:
-        if self._fd is not None:
-            if fcntl is not None:  # pragma: no branch
-                fcntl.flock(self._fd, fcntl.LOCK_UN)
-            os.close(self._fd)
-            self._fd = None
 
 
 # ----------------------------------------------------------------------

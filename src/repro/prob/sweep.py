@@ -17,13 +17,14 @@ probability parameters:
 
 The result carries the bounds, the most likely witness trace (from the
 most probable scenario where the query held) and the most likely
-counterexample scenario (the most probable way it broke).
+counterexample scenario (the most probable way it broke). Steps 1–3
+are :func:`plan_sweep`, which the server's ``POST /jobs`` shares.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import ProbError
@@ -34,6 +35,10 @@ from repro.model.trace import Trace
 from repro.prob.enumerate import FailureScenario, best_first_scenarios
 from repro.prob.mass import MassTracker, ProbVerdict
 from repro.prob.model import FailureModel
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
+    from repro.farm.pool import EngineConfig
+    from repro.farm.scenarios import Scenario
 
 
 @dataclass
@@ -89,6 +94,57 @@ class ProbSweepResult:
         return "  ".join(parts)
 
 
+def plan_sweep(
+    network: MplsNetwork,
+    query: str,
+    threshold: Optional[float] = None,
+    default: float = DEFAULT_FAILURE_PROBABILITY,
+    groups: Optional[SharedRiskGroups] = None,
+    group_probabilities: Optional[Mapping[str, float]] = None,
+    links: Optional[Sequence[str]] = None,
+    max_scenarios: int = 512,
+    residual_target: float = 1e-9,
+    query_name: str = "query",
+) -> Tuple[List[FailureScenario], List["Scenario"], List[float]]:
+    """Check a probabilistic sweep's parameters and enumerate its scenarios.
+
+    Builds the failure model, enumerates scenarios best-first until
+    ``max_scenarios`` or a residual mass of ``residual_target``, and
+    lowers them to farm scenarios. Returns ``(enumerated, scenarios,
+    masses)``: the failure scenarios in probability order, and the
+    index-aligned farm scenarios and masses that
+    :meth:`repro.farm.jobs.JobManager.submit` takes. Raises
+    :class:`ProbError` on a threshold outside [0, 1] or a non-positive
+    scenario budget.
+    """
+    from repro.farm.scenarios import probabilistic_scenarios
+
+    if threshold is not None and not (0.0 <= threshold <= 1.0):
+        raise ProbError(f"probability threshold {threshold!r} out of range [0, 1]")
+    if max_scenarios < 1:
+        raise ProbError("max_scenarios must be positive")
+
+    model = FailureModel.from_network(
+        network,
+        groups=groups,
+        group_probabilities=group_probabilities,
+        default=default,
+        links=links,
+    )
+    enumerated: List[FailureScenario] = []
+    mass_seen = 0.0
+    for scenario in best_first_scenarios(model, limit=max_scenarios):
+        enumerated.append(scenario)
+        mass_seen += scenario.probability
+        if 1.0 - mass_seen <= residual_target:
+            break
+    obs.add("prob.scenarios_enumerated", len(enumerated))
+    scenarios, masses = probabilistic_scenarios(
+        network, query, enumerated, query_name=query_name
+    )
+    return enumerated, scenarios, masses
+
+
 def run_probabilistic_sweep(
     network: MplsNetwork,
     query: str,
@@ -112,30 +168,19 @@ def run_probabilistic_sweep(
     early exit then cancels the not-yet-dispatched jobs.
     """
     from repro.farm.pool import run_jobs
-    from repro.farm.scenarios import probabilistic_scenarios, scenarios_to_jobs
+    from repro.farm.scenarios import scenarios_to_jobs
 
-    if threshold is not None and not (0.0 <= threshold <= 1.0):
-        raise ProbError(f"probability threshold {threshold!r} out of range [0, 1]")
-    if max_scenarios < 1:
-        raise ProbError("max_scenarios must be positive")
-
-    model = FailureModel.from_network(
+    enumerated, farm_scenarios, masses = plan_sweep(
         network,
+        query,
+        threshold=threshold,
+        default=default,
         groups=groups,
         group_probabilities=group_probabilities,
-        default=default,
         links=links,
+        max_scenarios=max_scenarios,
+        residual_target=residual_target,
     )
-    enumerated: List[FailureScenario] = []
-    mass_seen = 0.0
-    for scenario in best_first_scenarios(model, limit=max_scenarios):
-        enumerated.append(scenario)
-        mass_seen += scenario.probability
-        if 1.0 - mass_seen <= residual_target:
-            break
-    obs.add("prob.scenarios_enumerated", len(enumerated))
-
-    farm_scenarios, masses = probabilistic_scenarios(network, query, enumerated)
     jobs, payloads, prebuilt = scenarios_to_jobs(farm_scenarios, config, timeout)
 
     tracker = MassTracker(threshold=threshold)

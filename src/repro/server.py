@@ -212,10 +212,9 @@ def _prob_verify(
     from repro.farm.pool import EngineConfig
     from repro.prob import run_probabilistic_sweep
 
-    backend = _resolve_backend(payload)
-    weight = payload.get("weight")
-    if backend == "moped" and weight:
-        raise ReproError("the Moped backend does not support weighted verification")
+    config = EngineConfig(
+        backend=_resolve_backend(payload), weight=payload.get("weight")
+    )
     threshold, default, limit = _prob_params(payload)
     result = run_probabilistic_sweep(
         network,
@@ -223,7 +222,7 @@ def _prob_verify(
         threshold=threshold,
         default=default,
         max_scenarios=limit,
-        config=EngineConfig(backend=backend, weight=weight),
+        config=config,
         timeout=payload.get("timeout"),
     )
     response: Dict[str, Any] = {
@@ -388,7 +387,6 @@ def _submit_job(
     from repro.farm.scenarios import (
         failure_scenarios,
         preflight_index,
-        probabilistic_scenarios,
         scenarios_to_jobs,
         suite_scenarios,
     )
@@ -404,13 +402,9 @@ def _submit_job(
     else:
         raise ReproError("request needs a 'query' or 'queries' field")
 
-    backend = _resolve_backend(payload)
-    weight = payload.get("weight")
-    if backend == "moped" and weight:
-        raise ReproError("the Moped backend does not support weighted verification")
     config = EngineConfig(
-        backend=backend,
-        weight=weight,
+        backend=_resolve_backend(payload),
+        weight=payload.get("weight"),
         triage=_resolve_triage(payload),
     )
 
@@ -429,21 +423,17 @@ def _submit_job(
             )
         if len(queries) != 1:
             raise ReproError("a probabilistic sweep takes exactly one query")
-        from repro.prob import FailureModel, best_first_scenarios
+        from repro.prob.sweep import plan_sweep
 
         prob_threshold, prob_default, prob_limit = _prob_params(payload)
-        model = FailureModel.from_network(network, default=prob_default)
-        enumerated = []
-        mass_seen = 0.0
-        for failure_scenario in best_first_scenarios(model, limit=prob_limit):
-            enumerated.append(failure_scenario)
-            mass_seen += failure_scenario.probability
-            if 1.0 - mass_seen <= 1e-9:
-                break
-        obs.add("prob.scenarios_enumerated", len(enumerated))
         name, text = queries[0]
-        scenarios, probabilities = probabilistic_scenarios(
-            network, text, enumerated, query_name=name
+        _enumerated, scenarios, probabilities = plan_sweep(
+            network,
+            text,
+            threshold=prob_threshold,
+            default=prob_default,
+            max_scenarios=prob_limit,
+            query_name=name,
         )
         description = f"probabilistic sweep on {network.name}"
     elif sweep_failures is not None:

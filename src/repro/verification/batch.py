@@ -261,29 +261,20 @@ class BatchVerifier:
         progress: Optional[ProgressCallback],
     ) -> Tuple[List[BatchItem], BatchSummary]:
         """Fan the suite out over the farm's worker pool."""
-        from repro.farm.cache import hash_text
-        from repro.farm.pool import EngineConfig, FarmJob, run_jobs
-        from repro.io.json_format import network_to_json
+        from repro.farm.pool import EngineConfig, run_jobs
+        from repro.farm.scenarios import scenarios_to_jobs, suite_scenarios
 
-        config = EngineConfig.from_engine(self.engine)
-        payload = network_to_json(self.engine.network)
-        key = hash_text(payload)
-        jobs = [
-            FarmJob(
-                name=name,
-                query=query,
-                network_key=key,
-                config=config,
-                timeout=self.timeout_per_query,
-            )
-            for name, query in named
-        ]
+        jobs, payloads, prebuilt = scenarios_to_jobs(
+            suite_scenarios(self.engine.network, named),
+            EngineConfig.from_engine(self.engine),
+            self.timeout_per_query,
+        )
         results = run_jobs(
             jobs,
-            networks={key: payload},
+            payloads,
             max_workers=self.jobs,
             progress=progress,
-            prebuilt={key: self.engine.network},
+            prebuilt=prebuilt,
         )
         # Without a cancellation hook every slot is filled.
         items = [item for item in results if item is not None]

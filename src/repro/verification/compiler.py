@@ -56,6 +56,10 @@ from repro.query.ast import Query
 from repro.query.nfa import Nfa, label_nfa, link_nfa, valid_header_nfa
 from repro.query.weights import StepCosts, WeightVector
 
+#: Compilations a :class:`QueryCompiler` memoizes before evicting the
+#: least recently used one.
+MEMO_CAPACITY = 128
+
 #: Control-state tags.
 START = ("start",)
 ACCEPT = ("accept",)
@@ -165,14 +169,13 @@ class QueryCompiler:
     tables are append-only arenas (with a thread-safe ``intern``), so
     concurrent solves over one memoized instance never interfere. This is
     what lets the farm's engine cache amortize compilation across a
-    whole what-if sweep. ``memo_capacity=0`` disables memoization.
+    whole what-if sweep. The memo holds :data:`MEMO_CAPACITY` entries.
     """
 
     def __init__(
         self,
         network: MplsNetwork,
         distance_of: Optional[Callable[[Link], int]] = None,
-        memo_capacity: int = 128,
     ) -> None:
         self.network = network
         self._custom_distance = distance_of is not None
@@ -183,7 +186,6 @@ class QueryCompiler:
         #: None keeps the store out of the loop (see
         #: :meth:`attach_artifact_key`).
         self.artifact_key: Optional[str] = None
-        self.memo_capacity = memo_capacity
         self._memo: "OrderedDict[Tuple[Query, str, Optional[WeightVector]], CompiledQuery]" = (
             OrderedDict()
         )
@@ -251,8 +253,6 @@ class QueryCompiler:
         """
         if mode not in ("over", "under"):
             raise VerificationError(f"unknown compilation mode {mode!r}")
-        if self.memo_capacity <= 0:
-            return self._compile(query, mode, weight_vector)
         memo_key = (query, mode, weight_vector)
         # Like the farm's ArtifactCache, the build runs *under* the lock:
         # compilation is deterministic, and compile-once keeps the
@@ -281,7 +281,7 @@ class QueryCompiler:
             if obs.enabled():
                 obs.add("compiler.memo_misses")
             self._memo[memo_key] = compiled
-            while len(self._memo) > self.memo_capacity:
+            while len(self._memo) > MEMO_CAPACITY:
                 self._memo.popitem(last=False)
             return compiled
 

@@ -43,7 +43,7 @@ import time
 from typing import Callable, Optional, Union
 
 from repro import obs
-from repro.errors import VerificationError
+from repro.errors import VerificationError, WeightError
 from repro.model.network import MplsNetwork
 from repro.model.quantities import Quantity, link_failure_probability
 from repro.model.topology import Link
@@ -58,6 +58,31 @@ from repro.verification.compiler import (
 )
 from repro.verification.reconstruction import ReconstructedWitness, check_witness
 from repro.verification.results import EngineStats, Status, VerificationResult
+
+
+def check_settings(
+    backend: str, weight: Union[WeightVector, str, None], triage: str
+) -> Optional[WeightVector]:
+    """Validate engine settings; returns the parsed weight vector.
+
+    Raises what building an engine from these settings would raise, so
+    a farm sweep can reject them before it dispatches a single job.
+    """
+    if triage not in ("auto", "off", "only"):
+        raise VerificationError(
+            f"unknown triage mode {triage!r} (expected auto, off or only)"
+        )
+    if isinstance(weight, str):
+        weight = parse_weight_vector(weight)
+    elif weight is not None and not isinstance(weight, WeightVector):
+        raise WeightError(f"a weight is text, not {type(weight).__name__}")
+    if weight is not None and backend == "moped":
+        # §4.2: "possible only if the weight requirements are not
+        # specified" — Moped cannot handle weighted pushdown automata.
+        raise VerificationError(
+            "the Moped backend does not support weighted verification"
+        )
+    return weight
 
 
 class VerificationEngine:
@@ -101,20 +126,8 @@ class VerificationEngine:
                 f"unknown solver core {core!r} (expected interned or tuple)"
             )
         self.core = core
-        if triage not in ("auto", "off", "only"):
-            raise VerificationError(
-                f"unknown triage mode {triage!r} (expected auto, off or only)"
-            )
+        self.weight_vector = check_settings(backend, weight, triage)
         self.triage = triage
-        if isinstance(weight, str):
-            weight = parse_weight_vector(weight)
-        if weight is not None and backend == "moped":
-            # §4.2: "possible only if the weight requirements are not
-            # specified" — Moped cannot handle weighted pushdown automata.
-            raise VerificationError(
-                "the Moped backend does not support weighted verification"
-            )
-        self.weight_vector = weight
         self.distance_of = distance_of
         self.compiler = QueryCompiler(network, distance_of)
         self.name = name if name is not None else self._default_name()

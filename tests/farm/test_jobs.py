@@ -180,6 +180,24 @@ class TestStoreBackedManager:
         assert run.completed < run.total
         assert sibling.request_cancel("job-ffff-0099") is None
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_sweep_writes_no_networks_to_the_store(
+        self, store, owner, network, workers
+    ):
+        """A run's networks reach its workers without the store, which
+        holds job snapshots (and compiled queries) only."""
+        scenarios = failure_scenarios(network, [EXAMPLE_QUERIES[0]], max_failures=1)
+        jobs, payloads, prebuilt = scenarios_to_jobs(
+            scenarios, EngineConfig(triage="auto")
+        )
+        run = owner.submit(jobs, payloads, prebuilt=prebuilt, max_workers=workers)
+        assert run.wait(timeout=180)
+        summary = run.snapshot()["summary"]
+        assert run.state == DONE
+        assert summary["total"] == len(jobs)
+        assert summary["errors"] == 0
+        assert not os.path.exists(os.path.join(store.root, "network"))
+
     def test_active_count_merges_sibling_runs(self, store, owner):
         store.publish_job(
             "job-ffff-0001",

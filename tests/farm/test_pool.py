@@ -2,13 +2,15 @@
 
 import multiprocessing
 import os
+import threading
 
 import pytest
 
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
-from repro.errors import FarmError
-from repro.farm.cache import hash_text
-from repro.farm.pool import EngineConfig, FarmJob, _init_worker, execute_job, run_jobs
+from repro.errors import FarmError, VerificationError, WeightError
+from repro.farm.cache import ArtifactCache, hash_text
+from repro.farm.pool import EngineConfig, FarmJob, execute_job, run_jobs
+from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
 from repro.io.json_format import network_to_json
 from repro.verification.engine import dual_engine, weighted_engine
 
@@ -46,15 +48,25 @@ class TestEngineConfig:
         with pytest.raises(FarmError, match="distance_of"):
             EngineConfig.from_engine(engine)
 
+    @pytest.mark.parametrize(
+        "settings, error",
+        [
+            ({"weight": "bogus"}, WeightError),
+            ({"triage": "sometimes"}, VerificationError),
+            ({"backend": "moped", "weight": "hops"}, VerificationError),
+        ],
+    )
+    def test_rejects_settings_no_engine_accepts(self, settings, error):
+        """The error a worker's engine build would raise, raised once
+        when the sweep is built instead of once per job."""
+        with pytest.raises(error):
+            EngineConfig(**settings)
+
 
 class TestExecuteJob:
-    def test_runs_one_job_in_process(self, network, payloads, monkeypatch):
-        # Register the payload the way a pool worker receives it, in a
-        # registry that monkeypatch swaps back out afterwards.
-        monkeypatch.setattr("repro.farm.pool._NETWORK_PAYLOADS", {})
-        _init_worker(payloads)
+    def test_runs_one_job_in_process(self, network, payloads):
         (job,) = _jobs_for(payloads, [("phi0", EXAMPLE_QUERIES[0][1])])
-        item = execute_job(job)
+        item = execute_job(job, payloads, {})
         assert item.outcome == "satisfied"
         assert item.result is not None
 
@@ -63,6 +75,58 @@ class TestExecuteJob:
         results = run_jobs([job], networks={}, max_workers=1)
         assert results[0].outcome == "error"
         assert "no network registered" in results[0].error
+
+
+class TestInProcessRuns:
+    """``max_workers <= 1`` resolves networks from the run's own
+    arguments; the pool's module globals belong to pool workers."""
+
+    @pytest.fixture()
+    def audit(self, network):
+        return link_audit_scenarios(network, [EXAMPLE_QUERIES[0]])
+
+    def test_leaves_the_pool_globals_alone(self, audit, monkeypatch):
+        import repro.farm.pool as pool
+
+        monkeypatch.setattr(pool, "_NETWORK_PAYLOADS", {})
+        monkeypatch.setattr(pool, "_PREBUILT", {})
+        jobs, payloads, prebuilt = scenarios_to_jobs(audit)
+        results = run_jobs(jobs, payloads, max_workers=1, prebuilt=prebuilt)
+        assert all(item.outcome != "error" for item in results)
+        assert pool._NETWORK_PAYLOADS == {}
+        assert pool._PREBUILT == {}
+
+    def test_concurrent_runs_over_the_same_variants(self, audit, monkeypatch):
+        """A run that finishes first takes nothing the other still needs."""
+        # A one-slot cache makes the second run rebuild its variants
+        # after the first run has returned.
+        cache = ArtifactCache(max_networks=1, max_engines=1)
+        monkeypatch.setattr("repro.farm.pool.worker_cache", lambda: cache)
+        first_done = threading.Event()
+        results = {}
+
+        def run(label, progress=None):
+            jobs, payloads, prebuilt = scenarios_to_jobs(audit)
+            results[label] = run_jobs(
+                jobs, payloads, max_workers=1, progress=progress, prebuilt=prebuilt
+            )
+
+        def pause_after_first_job(index, _total, _item):
+            if index == 0:
+                first_done.wait(60)
+
+        second = threading.Thread(target=run, args=("second", pause_after_first_job))
+        second.start()
+        run("first")
+        first_done.set()
+        second.join(120)
+        assert not second.is_alive()
+        outcomes = {
+            label: [item.outcome for item in items] for label, items in results.items()
+        }
+        assert len(outcomes["first"]) == len(audit)
+        assert "error" not in outcomes["first"]
+        assert outcomes["second"] == outcomes["first"]
 
 
 class TestParallelParity:

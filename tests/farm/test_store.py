@@ -1,14 +1,12 @@
 """Tests for the disk-backed shared artifact store.
 
 The headline guarantee (module docstring of :mod:`repro.farm.store`):
-two processes racing to build the same content-hash key produce exactly
-one build, and the loser reads the winner's artifact.
+publication is lock-free and atomic, so a reader sees either no
+artifact or a complete one, however many writers race on a key.
 """
 
-import multiprocessing
 import os
-import pickle
-import time
+import threading
 
 import pytest
 
@@ -42,57 +40,63 @@ def isolated_global_store():
         os.environ[STORE_ENV] = saved
 
 
-class TestBuildOnce:
-    def test_miss_then_build_then_hit(self, store):
-        calls = []
-
-        def build():
-            calls.append(1)
-            return b"artifact"
-
-        with obs.recording():
-            data, built = store.get_or_build_bytes("compiled", KEY, build)
-            assert (data, built) == (b"artifact", True)
-            data, built = store.get_or_build_bytes("compiled", KEY, build)
-            assert (data, built) == (b"artifact", False)
-            assert obs.counter("farm.store.builds") == 1
-            assert obs.counter("farm.store.hits") == 1
-            assert obs.counter("farm.store.misses") == 1
-        assert len(calls) == 1
-
+class TestArtifacts:
     def test_get_put_bytes_roundtrip(self, store):
-        assert store.get_bytes("network", KEY) is None
-        store.put_bytes("network", KEY, b"{}")
-        assert store.get_bytes("network", KEY) == b"{}"
+        with obs.recording():
+            assert store.get_bytes("compiled", KEY) is None
+            store.put_bytes("compiled", KEY, b"{}")
+            assert store.get_bytes("compiled", KEY) == b"{}"
+            assert obs.counter("farm.store.misses") == 1
+            assert obs.counter("farm.store.hits") == 1
 
-    def test_text_variant(self, store):
-        text, built = store.get_or_build_text("network", KEY, lambda: "påyload")
-        assert (text, built) == ("påyload", True)
-        assert store.get_text("network", KEY) == "påyload"
-        assert store.get_text("network", "ff" + "0" * 62) is None
-
-    def test_object_variant(self, store):
-        value, built = store.get_or_build_object(
-            "compiled", KEY, lambda: {"answer": 42}
-        )
-        assert (value, built) == ({"answer": 42}, True)
-        value, built = store.get_or_build_object(
-            "compiled", KEY, lambda: {"answer": 0}
-        )
-        assert (value, built) == ({"answer": 42}, False)
+    def test_object_roundtrip(self, store):
+        assert store.get_object("compiled", KEY) is None
+        assert store.put_object("compiled", KEY, {"answer": 42}) is True
+        assert store.get_object("compiled", KEY) == {"answer": 42}
 
     def test_sharded_layout(self, store):
-        store.put_bytes("network", KEY, b"x")
+        store.put_bytes("compiled", KEY, b"x")
         assert os.path.exists(
-            os.path.join(store.root, "network", KEY[:2], KEY)
+            os.path.join(store.root, "compiled", KEY[:2], KEY)
         )
 
     def test_clear_resets_everything(self, store):
-        store.put_bytes("network", KEY, b"x")
+        store.put_bytes("compiled", KEY, b"x")
         store.clear()
-        assert store.get_bytes("network", KEY) is None
-        data, built = store.get_or_build_bytes("network", KEY, lambda: b"y")
-        assert (data, built) == (b"y", True)  # the next lookup rebuilt
+        assert store.get_bytes("compiled", KEY) is None
+        store.put_bytes("compiled", KEY, b"y")  # the store works on after
+        assert store.get_bytes("compiled", KEY) == b"y"
+
+    def test_racing_writers_never_expose_a_partial_artifact(self, store):
+        """Last writer wins, and no read ever sees a torn file."""
+        payloads = [bytes([fill]) * (1 << 18) for fill in (1, 2)]
+        torn = []
+        stop = threading.Event()
+
+        def write(data):
+            for _ in range(20):
+                store.put_bytes("compiled", KEY, data)
+
+        def read():
+            while not stop.is_set():
+                data = store.get_bytes("compiled", KEY)
+                if data is not None and data not in payloads:
+                    torn.append(len(data))
+
+        reader = threading.Thread(target=read)
+        writers = [threading.Thread(target=write, args=(p,)) for p in payloads]
+        reader.start()
+        for thread in writers:
+            thread.start()
+        for thread in writers:
+            thread.join(60)
+        stop.set()
+        reader.join(60)
+        assert not any(t.is_alive() for t in [reader, *writers])
+        assert torn == []
+        assert store.get_bytes("compiled", KEY) in payloads
+        shard = os.path.dirname(store.path_for("compiled", KEY))
+        assert os.listdir(shard) == [KEY]  # no temp file left behind
 
 
 class TestPickleFailures:
@@ -107,54 +111,6 @@ class TestPickleFailures:
         with obs.recording():
             assert store.get_object("compiled", KEY) is None
             assert obs.counter("farm.store.put_failures") == 1
-
-    def test_unpicklable_build_result_still_returned(self, store):
-        value, built = store.get_or_build_object(
-            "compiled", KEY, lambda: (lambda: None)
-        )
-        assert built is True
-        assert callable(value)
-        # Nothing was published, so the next call rebuilds.
-        _value, built = store.get_or_build_object(
-            "compiled", KEY, lambda: (lambda: None)
-        )
-        assert built is True
-
-
-def _race_build(root, key, barrier, queue):
-    store = SharedArtifactStore(root)
-    barrier.wait(timeout=30)
-
-    def build():
-        time.sleep(0.3)  # widen the race window: the loser must block
-        return pickle.dumps(os.getpid())
-
-    data, built = store.get_or_build_bytes("compiled", key, build)
-    queue.put((os.getpid(), built, data))
-
-
-class TestTwoProcessRace:
-    def test_race_builds_exactly_once(self, tmp_path):
-        """Two processes racing the same key: one build, both read it."""
-        context = multiprocessing.get_context("fork")
-        barrier = context.Barrier(2)
-        queue = context.Queue()
-        root = str(tmp_path / "store")
-        workers = [
-            context.Process(
-                target=_race_build, args=(root, KEY, barrier, queue)
-            )
-            for _ in range(2)
-        ]
-        for worker in workers:
-            worker.start()
-        results = [queue.get(timeout=30) for _ in workers]
-        for worker in workers:
-            worker.join(timeout=30)
-        builders = [pid for pid, built, _data in results if built]
-        assert len(builders) == 1
-        payloads = {data for _pid, _built, data in results}
-        assert payloads == {pickle.dumps(builders[0])}
 
 
 class TestJobSnapshots:

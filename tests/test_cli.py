@@ -294,6 +294,18 @@ class TestProbabilisticSweep:
         )
         assert code == 3
 
+    def test_rejects_bad_weight_before_sweeping(self, capsys):
+        code = main(
+            [
+                "--builtin", "example", "--query", self.PHI_PROTECTED,
+                "--prob-threshold", "0.9", "--weight", "bogus",
+            ]
+        )
+        assert code == 3
+        captured = capsys.readouterr()
+        assert "bogus" in captured.err
+        assert "P(holds)" not in captured.out
+
 
 class TestTriage:
     UNSAT = "<ip ip> .* <ip> 0"

@@ -700,6 +700,58 @@ class TestProbabilisticJobs:
         assert status == 400
         assert "exactly one query" in document["error"]
 
+    def test_out_of_range_threshold(self, server):
+        """Checked as on /verify, not swept to a verdict."""
+        status, document = request(
+            server,
+            "POST",
+            "/jobs",
+            {"network": "example", "query": self.PHI_PROTECTED,
+             "prob_threshold": 1.5},
+        )
+        assert status == 400
+        assert document["error"] == "probability threshold 1.5 out of range [0, 1]"
+
+
+class TestEngineSettingsCheckedUpfront:
+    """A weight no engine accepts is a 400 on every endpoint, never a
+    500 or an error item per scenario."""
+
+    PHI0 = "<ip> [.#v0] .* [v3#.] <ip> 0"
+
+    def test_jobs_rejects_bogus_weight(self, server):
+        status, document = request(
+            server,
+            "POST",
+            "/jobs",
+            {"network": "example", "query": self.PHI0, "sweep_failures": 1,
+             "weight": "bogus"},
+        )
+        assert status == 400
+        assert "bogus" in document["error"]
+
+    @pytest.mark.parametrize("weight", [5, ["hops"]])
+    def test_verify_rejects_a_weight_that_is_not_text(self, server, weight):
+        status, document = request(
+            server,
+            "POST",
+            "/verify",
+            {"network": "example", "query": self.PHI0, "weight": weight},
+        )
+        assert status == 400
+        assert "weight is text" in document["error"]
+
+    def test_probabilistic_verify_rejects_bogus_weight(self, server):
+        status, document = request(
+            server,
+            "POST",
+            "/verify",
+            {"network": "example", "query": self.PHI0, "prob_threshold": 0.9,
+             "weight": "bogus"},
+        )
+        assert status == 400
+        assert "bogus" in document["error"]
+
 
 class TestCacheMetrics:
     def test_metrics_expose_cache_counters(self, server):
