@@ -10,17 +10,17 @@ three ways and records the wall-clock ratio:
 
 * **naive serial** — what execution without the farm looks like: every
   job materializes its own network from JSON and builds a fresh
-  engine, then verifies.  (This is also exactly what stateless workers
-  without the artifact cache would each do.)
-* **farm, jobs=1** — the in-process serial path with the shared
-  artifact cache and prebuilt variants: all setup is reused.
+  engine, then verifies.
+* **farm, jobs=1** — the in-process serial path over the prebuilt
+  variants: each job still builds its own engine (microseconds), but no
+  network is deserialized.
 * **farm, jobs=4** — the process pool; workers inherit the prebuilt
-  variants via fork and keep per-worker caches, with jobs dispatched
-  in variant-grouped chunks.
+  variants via fork, with jobs dispatched in variant-grouped chunks.
 
 The recorded ``speedup_jobs4`` (naive serial ÷ farm jobs=4) is the
-headline number; on a single-core container the win comes from the
-cache amortizing per-job setup away, and extra cores only widen it.
+headline number; on a single core the win comes from reusing the
+prebuilt variants instead of deserializing one per job, and extra
+cores only widen it.
 Each mode is timed as the best of ``ROUNDS`` runs, the usual guard
 against scheduler noise on shared machines.
 
@@ -35,7 +35,6 @@ from typing import Dict, List, Tuple
 
 from benchmarks.common import nordunet_network, save_results
 from repro.datasets.queries import table1_queries
-from repro.farm.cache import worker_cache
 from repro.farm.pool import FarmJob, run_jobs
 from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
 from repro.io.json_format import network_from_json
@@ -75,7 +74,6 @@ def run_scaling() -> Dict[str, object]:
     def timed(mode):
         best, outcomes = None, None
         for _ in range(ROUNDS):
-            worker_cache().clear()
             start = time.perf_counter()
             items = mode()
             seconds = time.perf_counter() - start

@@ -38,6 +38,7 @@ from repro.service.core import (
     ServiceRequest,
     _BadRequest,
     error_response,
+    read_body,
 )
 from repro.service.ratelimit import RateLimitConfig, RateLimiter
 
@@ -76,7 +77,10 @@ def create_app(
         environ: Dict[str, Any], start_response: Callable[..., Any]
     ) -> Iterable[bytes]:
         try:
-            body = _read_body(environ)
+            # WSGI servers may pass an absent Content-Length as "".
+            body = read_body(
+                environ.get("CONTENT_LENGTH") or None, environ.get("wsgi.input")
+            )
         except _BadRequest as error:
             response = error_response(str(error), 400)
         else:
@@ -125,42 +129,6 @@ def _headers(environ: Dict[str, Any]) -> Dict[str, str]:
     if "CONTENT_LENGTH" in environ:
         headers["Content-Length"] = environ["CONTENT_LENGTH"]
     return headers
-
-
-def _read_body(environ: Dict[str, Any]) -> Optional[bytes]:
-    """Read the request body; same contract (and same truncation /
-    size-limit errors) as the ``http.server`` transport."""
-    from repro.server import MAX_BODY_BYTES
-
-    length_header = environ.get("CONTENT_LENGTH")
-    if not length_header:
-        return None
-    try:
-        length = int(length_header)
-    except ValueError:
-        raise _BadRequest(f"invalid Content-Length {length_header!r}")
-    if length < 0:
-        raise _BadRequest(f"invalid Content-Length {length_header!r}")
-    if length > MAX_BODY_BYTES:
-        raise _BadRequest(
-            f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
-        )
-    stream = environ.get("wsgi.input")
-    if stream is None:
-        raise _BadRequest("request body is missing")
-    chunks: List[bytes] = []
-    remaining = length
-    while remaining > 0:
-        chunk = stream.read(remaining)
-        if not chunk:
-            received = length - remaining
-            raise _BadRequest(
-                f"request body was truncated "
-                f"({received} of {length} bytes received)"
-            )
-        chunks.append(chunk)
-        remaining -= len(chunk)
-    return b"".join(chunks)
 
 
 _DEFAULT_APP: Optional[WsgiApp] = None

@@ -35,7 +35,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Dict, Optional
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import obs
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
@@ -45,8 +45,10 @@ from repro.io.isis import network_from_isis
 from repro.io.json_format import network_to_json, read_network_json, trace_to_json
 from repro.io.xml_format import read_network, routing_to_xml, topology_to_xml
 from repro.model.network import MplsNetwork
-from repro.verification.engine import VerificationEngine
 from repro.verification.results import Status, VerificationResult
+
+if TYPE_CHECKING:  # pragma: no cover - annotation-only import
+    from repro.farm.pool import EngineConfig
 
 
 def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
@@ -343,14 +345,12 @@ def _load_network(args: argparse.Namespace) -> MplsNetwork:
     return read_network(args.topology, args.routing, coordinates=coordinates)
 
 
-def _backend_of(args: argparse.Namespace) -> str:
-    return "poststar" if args.engine == "dual" else args.engine
+def _engine_config(args: argparse.Namespace) -> EngineConfig:
+    """The engine settings the verification flags select."""
+    from repro.farm.pool import EngineConfig
 
-
-def _make_engine(network: MplsNetwork, args: argparse.Namespace) -> VerificationEngine:
-    return VerificationEngine(
-        network,
-        backend=_backend_of(args),
+    return EngineConfig(
+        backend="poststar" if args.engine == "dual" else args.engine,
         use_reductions=not args.no_reductions,
         weight=args.weight,
         triage=args.triage,
@@ -399,7 +399,7 @@ def _run_batch(network: MplsNetwork, args: argparse.Namespace) -> int:
 
     with open(args.queries_file, "r", encoding="utf-8") as handle:
         queries = parse_query_file(handle.read())
-    engine = _make_engine(network, args)
+    engine = _engine_config(args).build(network)
     verifier = BatchVerifier(
         engine,
         timeout_per_query=args.timeout,
@@ -424,7 +424,7 @@ def _run_batch(network: MplsNetwork, args: argparse.Namespace) -> int:
 def _run_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
     """What-if failure sweep: every ≤K link-failure combination, on the
     verification farm when --jobs asks for workers."""
-    from repro.farm.pool import EngineConfig, run_jobs
+    from repro.farm.pool import run_jobs
     from repro.farm.scenarios import failure_scenarios, scenarios_to_jobs
     from repro.verification.batch import parse_query_file, summarize
 
@@ -436,12 +436,7 @@ def _run_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
     else:
         raise ReproError("--sweep-failures needs --query or --queries-file")
 
-    config = EngineConfig(
-        backend=_backend_of(args),
-        use_reductions=not args.no_reductions,
-        weight=args.weight,
-        triage=args.triage,
-    )
+    config = _engine_config(args)
     scenarios = failure_scenarios(
         network,
         queries,
@@ -491,18 +486,12 @@ def _run_prob_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
     the requested probability, 1 it does not, 2 undecided (no threshold
     given, or the scenario budget ran out before the verdict settled).
     """
-    from repro.farm.pool import EngineConfig
     from repro.model.quantities import DEFAULT_FAILURE_PROBABILITY
     from repro.prob import ProbVerdict, run_probabilistic_sweep
 
     if not args.query:
         raise ReproError("--prob-threshold/--sweep-prob need --query")
-    config = EngineConfig(
-        backend=_backend_of(args),
-        use_reductions=not args.no_reductions,
-        weight=args.weight,
-        triage=args.triage,
-    )
+    config = _engine_config(args)
     default = (
         args.prob_default
         if args.prob_default is not None
@@ -712,7 +701,7 @@ def _verify_main(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-        engine = _make_engine(network, args)
+        engine = _engine_config(args).build(network)
         result = engine.verify(args.query, timeout_seconds=args.timeout)
     except VerificationTimeout:
         print("TIMEOUT", file=sys.stderr)

@@ -6,19 +6,18 @@ dataplane (§4.2); this package exploits that structure:
 * :mod:`repro.farm.scenarios` — turn one network into a sweep of
   independent what-if jobs (failure combinations, per-link audits,
   query suites);
-* :mod:`repro.farm.pool` — execute jobs on a process pool with
-  per-worker engine reuse and crash containment;
-* :mod:`repro.farm.cache` — the content-hash artifact cache that keeps
-  N workers from redoing identical network builds and compilations;
+* :mod:`repro.farm.pool` — execute jobs on a process pool, one engine
+  per job over the run's own networks, with crash containment;
 * :mod:`repro.farm.jobs` — asynchronous runs with live progress and
-  cancellation (the server's job API).
+  cancellation (the server's job API);
+* :mod:`repro.farm.store` — the content-hash disk store that lets
+  sibling processes reuse compiled queries and see each other's runs.
 
 Entry points most callers want: ``BatchVerifier(engine, jobs=N)`` for
 plain suites, or ``scenarios → scenarios_to_jobs → run_jobs`` /
 ``JobManager.submit`` for sweeps.
 """
 
-from repro.farm.cache import ArtifactCache, hash_text, worker_cache
 from repro.farm.jobs import FarmRun, JobManager
 from repro.farm.pool import EngineConfig, FarmJob, execute_job, run_jobs
 from repro.farm.scenarios import (
@@ -30,9 +29,9 @@ from repro.farm.scenarios import (
     suite_scenarios,
     sweep_size,
 )
+from repro.farm.store import hash_text
 
 __all__ = [
-    "ArtifactCache",
     "EngineConfig",
     "FarmJob",
     "FarmRun",
@@ -47,5 +46,4 @@ __all__ = [
     "scenarios_to_jobs",
     "suite_scenarios",
     "sweep_size",
-    "worker_cache",
 ]

@@ -9,12 +9,12 @@ careful layer over :class:`concurrent.futures.ProcessPoolExecutor`:
   :class:`EngineConfig`. The network JSON payloads travel once per
   worker (through the pool initializer), not once per job; the
   in-process path reads the run's own networks instead.
-* **Per-worker artifact reuse.** Workers resolve the key through the
-  process-local :func:`~repro.farm.cache.worker_cache`, so a worker
-  builds each distinct network variant and engine exactly once no
-  matter how many of the sweep's jobs land on it. Under the ``fork``
-  start method, variants already built by the parent are inherited
-  outright and workers skip even the first build.
+* **Artifacts live as long as their run.** A job builds its own engine
+  (microseconds next to the verification). Its network comes from the
+  run: a run-local copy of the caller's pre-built variants in-process,
+  or the pool worker's :data:`_PREBUILT`, inherited outright under
+  ``fork`` and deserialized from the initializer payloads on first use
+  under ``spawn``/``forkserver``. Nothing outlives :func:`run_jobs`.
 * **Crash and timeout containment.** A job that times out or raises a
   :class:`~repro.errors.ReproError` becomes a ``timeout``/``error``
   :class:`~repro.verification.batch.BatchItem`; a worker process that
@@ -35,7 +35,6 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import FarmError
-from repro.farm.cache import worker_cache
 from repro.model.network import MplsNetwork
 from repro.verification.batch import BatchItem, run_single
 from repro.verification.engine import VerificationEngine, check_settings
@@ -116,8 +115,9 @@ class FarmJob:
 #: hash; filled by the pool initializer, in worker processes only.
 _NETWORK_PAYLOADS: Dict[str, str] = {}
 
-#: Pre-built networks inherited from the parent under the ``fork``
-#: start method; lets workers skip deserialization entirely.
+#: Built networks of this pool worker's sweep, keyed by content hash:
+#: inherited from the parent under the ``fork`` start method, otherwise
+#: deserialized from :data:`_NETWORK_PAYLOADS` on first use.
 _PREBUILT: Dict[str, MplsNetwork] = {}
 
 
@@ -135,46 +135,40 @@ def _init_worker(payloads: Dict[str, str], observe: bool = False) -> None:
 def _network_for(
     key: str,
     payloads: Mapping[str, str],
-    prebuilt: Mapping[str, MplsNetwork],
+    built: Dict[str, MplsNetwork],
 ) -> MplsNetwork:
-    """The network named ``key``, through this process's artifact cache.
+    """The network named ``key``: the one in ``built``, or else its JSON
+    payload deserialized once and kept in ``built``.
 
-    A miss takes the pre-built network when there is one and otherwise
-    deserializes its JSON payload. A run executes only in the process
-    that submitted it, so ``payloads``/``prebuilt`` (the run's own, or a
-    pool worker's module globals) always hold every key of the run.
+    A run executes only in the process that submitted it, so
+    ``payloads``/``built`` (the run's own, or a pool worker's module
+    globals) always hold every key of the run.
     """
-
-    def build() -> MplsNetwork:
-        network = prebuilt.get(key)
-        if network is not None:
-            return network
+    network = built.get(key)
+    if network is None:
         payload = payloads.get(key)
         if payload is None:
             raise FarmError(f"no network registered under key {key[:12]}…")
         from repro.io.json_format import network_from_json
 
-        return network_from_json(payload)
-
-    return worker_cache().network(key, build)
+        network = built[key] = network_from_json(payload)
+    return network
 
 
 def execute_job(
     job: FarmJob,
     payloads: Mapping[str, str],
-    prebuilt: Mapping[str, MplsNetwork],
+    built: Dict[str, MplsNetwork],
 ) -> BatchItem:
-    """Run one job in this process, reusing cached artifacts.
+    """Run one job in this process on a fresh engine.
 
     This is the single verification code path of the farm: the process
     pool calls it in workers with the pool's module globals, and the
     ``max_workers <= 1`` fallback calls it inline with the run's own
-    ``payloads`` and ``prebuilt``.
+    ``payloads`` and a run-local copy of its pre-built networks.
     """
-    network = _network_for(job.network_key, payloads, prebuilt)
-    engine = worker_cache().engine(
-        job.network_key, job.config, lambda: job.config.build(network)
-    )
+    network = _network_for(job.network_key, payloads, built)
+    engine = job.config.build(network)
     # With a shared store attached, compiled queries of this network
     # variant are reusable across worker processes; the key names them.
     engine.attach_artifact_key(job.network_key)
@@ -187,9 +181,8 @@ def execute_chunk(
     """Run a batch of jobs in this process, containing per-job errors.
 
     The pool dispatches chunks grouped by network variant so that all
-    of a variant's queries reuse one worker's cached network and engine
-    instead of re-deriving them on whichever workers the scheduler
-    happens to pick.
+    of a variant's queries run on one worker, which deserializes the
+    variant at most once.
 
     Returns the items plus, when observation is on in this process, the
     metric delta the chunk produced (``None`` otherwise) so the driver
@@ -216,14 +209,14 @@ def plan_chunks(network_keys: Sequence[str], max_workers: int) -> List[List[int]
     """Group job indices (one per entry of ``network_keys``) into
     dispatch chunks.
 
-    Jobs sharing a network variant stay together so one worker derives
-    the variant's network and engine once for all of them; variant
+    Jobs sharing a network variant stay together so a worker without
+    the pre-built variant deserializes it once for all of them; variant
     groups are then packed into ~4 chunks per worker — enough slack for
     load balancing without a dispatch round-trip per job. A variant
     whose group alone exceeds the per-chunk budget is *split* first:
     without the split, a sweep over a single variant collapses into one
     chunk and serializes on one worker no matter how many were asked
-    for (a regression the farm cache-counter tests pin down).
+    for (``tests/obs/test_farm_merge.py`` pins this down).
     """
     total = len(network_keys)
     if total == 0:
@@ -256,7 +249,8 @@ def run_jobs(
 
     ``networks`` maps content-hash keys to network JSON; ``prebuilt``
     optionally maps the same keys to already-built networks (shared
-    with forked workers for free, used directly in-process). A slot is
+    with forked workers for free, used directly in-process). The run
+    keeps no network or engine after it returns. A slot is
     ``None`` only when ``cancelled()`` turned true before its job ran;
     every executed job yields a :class:`BatchItem`, with worker crashes
     recorded as ``error`` outcomes rather than raised.
@@ -267,10 +261,11 @@ def run_jobs(
         return results
 
     if max_workers <= 1:
+        built = dict(prebuilt or {})
         for index, job in enumerate(jobs):
             if cancelled is not None and cancelled():
                 break
-            item = _safe_execute(job, networks, prebuilt or {})
+            item = _safe_execute(job, networks, built)
             results[index] = item
             if progress is not None:
                 progress(index, total, item)
@@ -327,11 +322,11 @@ def run_jobs(
 def _safe_execute(
     job: FarmJob,
     payloads: Mapping[str, str],
-    prebuilt: Mapping[str, MplsNetwork],
+    built: Dict[str, MplsNetwork],
 ) -> BatchItem:
     """In-process execution with the pool's never-raise contract."""
     try:
-        return execute_job(job, payloads, prebuilt)
+        return execute_job(job, payloads, built)
     except Exception as error:
         return BatchItem(
             name=job.name,

@@ -19,7 +19,7 @@ those families into explicit, independent :class:`Scenario`s —
 
 Scenarios sharing a failure combination share one degraded network
 object, so :func:`scenarios_to_jobs` serializes each distinct variant
-once and the farm's artifact cache deduplicates the build work.
+once and hands the built object on to the run with its key.
 """
 
 from __future__ import annotations
@@ -105,7 +105,7 @@ def preflight_scenarios(scenarios: List[Scenario]) -> List[Scenario]:
     """
     from repro import obs
     from repro.analysis import LintConfig, analyze, rule_codes
-    from repro.farm.cache import hash_text
+    from repro.farm.store import hash_text
     from repro.io.json_format import network_to_json
 
     ruleset = hash_text(",".join(rule_codes()))
@@ -365,7 +365,7 @@ def scenarios_to_jobs(
     workers for free). Scenarios sharing a network object serialize it
     once.
     """
-    from repro.farm.cache import hash_text
+    from repro.farm.store import hash_text
     from repro.farm.pool import EngineConfig, FarmJob
     from repro.io.json_format import network_to_json
 

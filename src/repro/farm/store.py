@@ -1,12 +1,12 @@
 """Disk-backed shared artifact store: reuse compiled queries across processes.
 
-The in-memory :class:`~repro.farm.cache.ArtifactCache` amortizes builds
-*within* one process; a production deployment runs N server workers (see
-``aalwines serve --workers``), and without sharing, every worker pays
-the same compilations again. This module provides the missing tier: a
-content-hash-keyed store on disk, safe under concurrent access from any
-number of processes. It holds two things only: compiled query artifacts
-and the job-run snapshots that let sibling workers answer ``/jobs``.
+A production deployment runs N server workers (see ``aalwines serve
+--workers``), and without sharing, every worker pays the same
+compilations again. This module is the shared tier: a store on disk
+keyed by content hash (:func:`hash_text`), safe under concurrent access
+from any number of processes. It holds two things only: compiled query
+artifacts and the job-run snapshots that let sibling workers answer
+``/jobs``.
 
 Layout (everything lives under one root directory)::
 
@@ -38,6 +38,7 @@ parent server's store.
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import pickle
@@ -52,11 +53,16 @@ from repro import obs
 STORE_ENV = "AALWINES_STORE"
 
 
+def hash_text(text: str) -> str:
+    """Content key of a serialized artifact (SHA-256 hex digest)."""
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
 class SharedArtifactStore:
     """A content-hash artifact store shared by cooperating processes.
 
     ``kind`` namespaces artifacts ("compiled"); ``key`` is a content
-    hash (see :func:`repro.farm.cache.hash_text`). Artifacts and job
+    hash (see :func:`hash_text`). Artifacts and job
     snapshots share one lock-free publication protocol.
     """
 

@@ -52,7 +52,7 @@ open:
 
 Observability: ``GET /metrics`` serves the :mod:`repro.obs` registry,
 and nothing else, in the Prometheus text exposition format: solver,
-compiler, triage, farm-cache and artifact-store counters, gauges,
+compiler, triage, engine-table and artifact-store counters, gauges,
 latency histograms and span timings. A counter's series appears once
 it first ticks. The server enables observation on construction by
 default; with ``observe=False`` nothing is recorded, and ``/metrics``
@@ -61,13 +61,15 @@ Recording is strictly observational, so responses are unaffected —
 pinned by the regression tests in ``tests/obs/``.
 
 Use :class:`VerificationServer` programmatically (it picks a free port
-with ``port=0``, handy for tests) or run ``python -m repro.server``.
+with ``port=0``, handy for tests) or run ``aalwines serve``
+(``python -m repro.server`` is the same command).
 """
 
 from __future__ import annotations
 
 import json
 import threading
+from collections import OrderedDict
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, List, Optional, Tuple
 
@@ -75,32 +77,46 @@ from repro import obs
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
 from repro.errors import NotFoundError, ReproError
 from repro.farm.jobs import JobManager
+from repro.farm.pool import EngineConfig
+from repro.farm.store import hash_text
 from repro.io.json_format import network_from_json, network_to_json
 from repro.model.network import MplsNetwork
 from repro.model.quantities import DEFAULT_FAILURE_PROBABILITY
+from repro.service.core import MAX_BODY_BYTES as MAX_BODY_BYTES  # re-export
 from repro.service.core import (
     ServiceCore,
     ServiceRequest,
     ServiceResponse,
     _BadRequest,
+    error_response,
+    read_body,
 )
 from repro.service.ratelimit import RateLimitConfig, RateLimiter
+from repro.verification.engine import VerificationEngine
 from repro.viz import result_to_dot
-
-#: Largest request body the service accepts (inline networks are big;
-#: this is a DoS guard, not a format limit).
-MAX_BODY_BYTES = 64 * 1024 * 1024
 
 #: Upper bound on the per-sweep worker count a request may ask for.
 MAX_SWEEP_WORKERS = 16
 
+#: /verify engines a server keeps, least recently used evicted first.
+ENGINE_SLOTS = 256
+
 
 class _NetworkCache:
-    """Lazily built, shared built-in networks (with their content keys)."""
+    """Lazily built, shared built-in networks (with their content keys),
+    and the ``/verify`` engines built on them.
+
+    A ``/verify`` engine outlives its request so that hot queries hit
+    its compile memo; one is kept per (network content key,
+    :class:`~repro.farm.pool.EngineConfig`), :data:`ENGINE_SLOTS` in all.
+    """
 
     def __init__(self) -> None:
         self._cache: Dict[str, MplsNetwork] = {}
         self._keys: Dict[str, str] = {}
+        self._engines: "OrderedDict[Tuple[str, EngineConfig], VerificationEngine]" = (
+            OrderedDict()
+        )
         self._lock = threading.Lock()
 
     def get(self, name: str) -> MplsNetwork:
@@ -114,13 +130,36 @@ class _NetworkCache:
     def key_of(self, name: str) -> str:
         """The content hash of a built-in network (memoized — serializing
         a network per request would dominate small verifications)."""
-        from repro.farm.cache import hash_text
-
         network = self.get(name)
         with self._lock:
             if name not in self._keys:
                 self._keys[name] = hash_text(network_to_json(network))
             return self._keys[name]
+
+    def engine(
+        self, key: str, config: EngineConfig, network: MplsNetwork
+    ) -> VerificationEngine:
+        """The engine for (network ``key``, ``config``), built on first use.
+
+        The content key also names the network in the shared artifact
+        store (when one is attached), so sibling worker processes reuse
+        compiled queries.
+        """
+        slot = (key, config)
+        with self._lock:
+            engine = self._engines.get(slot)
+            if engine is not None:
+                self._engines.move_to_end(slot)
+                obs.add("server.engine_hits")
+                return engine
+            obs.add("server.engine_misses")
+            engine = config.build(network)
+            engine.attach_artifact_key(key)
+            self._engines[slot] = engine
+            while len(self._engines) > ENGINE_SLOTS:
+                self._engines.popitem(last=False)
+                obs.add("server.engine_evictions")
+            return engine
 
 
 def _resolve_network(field: Any, cache: _NetworkCache) -> MplsNetwork:
@@ -137,13 +176,11 @@ def _resolve_network_keyed(
 ) -> Tuple[MplsNetwork, str]:
     """Like :func:`_resolve_network` but also the network's content key.
 
-    The key feeds the per-process engine cache and the shared artifact
+    The key feeds the server's engine table and the shared artifact
     store. Built-ins hash their canonical JSON (memoized); inline
     networks hash the request's own JSON — cheaper than re-serializing
     the built network and just as content-stable for identical requests.
     """
-    from repro.farm.cache import hash_text
-
     if isinstance(field, str):
         return cache.get(field), cache.key_of(field)
     if isinstance(field, dict):
@@ -152,19 +189,51 @@ def _resolve_network_keyed(
     raise ReproError("'network' must be a built-in name or a network object")
 
 
-def _resolve_backend(payload: Dict[str, Any]) -> str:
+def _engine_config(payload: Dict[str, Any]) -> EngineConfig:
+    """The engine settings of a ``/verify`` or ``/jobs`` body.
+
+    ``EngineConfig`` rejects a weight or triage mode no engine accepts;
+    triage defaults to off, matching the CLI.
+    """
     engine_name = payload.get("engine", "dual")
     if engine_name not in ("dual", "moped", "poststar", "prestar"):
         raise ReproError(f"unknown engine {engine_name!r}")
-    return "poststar" if engine_name == "dual" else engine_name
+    return EngineConfig(
+        backend="poststar" if engine_name == "dual" else engine_name,
+        weight=payload.get("weight"),
+        triage=payload.get("triage", "off"),
+    )
 
 
-def _resolve_triage(payload: Dict[str, Any]) -> str:
-    """Validated ``"triage"`` field (default off, matching the CLI)."""
-    mode = payload.get("triage", "off")
-    if mode not in ("auto", "off", "only"):
-        raise ReproError(f"unknown triage mode {mode!r} (use: auto, off, only)")
-    return mode
+def _query_field(payload: Dict[str, Any]) -> str:
+    """The ``"query"`` field, which must be text."""
+    if "query" not in payload:
+        raise ReproError("request needs a 'query' field")
+    query = payload["query"]
+    if not isinstance(query, str):
+        raise ReproError("'query' must be text")
+    return query
+
+
+def _number_field(payload: Dict[str, Any], name: str) -> Optional[float]:
+    """An optional numeric field (a bool is not a number)."""
+    value = payload.get(name)
+    if value is None:
+        return None
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ReproError(f"'{name}' must be a number")
+    return float(value)
+
+
+def _string_list_field(payload: Dict[str, Any], name: str) -> Optional[List[str]]:
+    """An optional list-of-strings field."""
+    value = payload.get(name)
+    if value is not None and (
+        not isinstance(value, list)
+        or not all(isinstance(item, str) for item in value)
+    ):
+        raise ReproError(f"'{name}' must be a list of strings")
+    return value
 
 
 def _trace_steps(trace: Any) -> List[Dict[str, Any]]:
@@ -191,11 +260,7 @@ def _prob_params(
     payload: Dict[str, Any]
 ) -> Tuple[Optional[float], float, int]:
     """Validated ``(threshold, default, limit)`` probability parameters."""
-    threshold = payload.get("prob_threshold")
-    if threshold is not None:
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ReproError("'prob_threshold' must be a number")
-        threshold = float(threshold)
+    threshold = _number_field(payload, "prob_threshold")
     default = payload.get("prob_default", DEFAULT_FAILURE_PROBABILITY)
     if isinstance(default, bool) or not isinstance(default, (int, float)):
         raise ReproError("'prob_default' must be a number")
@@ -206,28 +271,28 @@ def _prob_params(
 
 
 def _prob_verify(
-    payload: Dict[str, Any], network: MplsNetwork
+    payload: Dict[str, Any],
+    network: MplsNetwork,
+    query: str,
+    config: EngineConfig,
+    timeout: Optional[float],
 ) -> Dict[str, Any]:
     """Handle a probabilistic /verify body; returns the response document."""
-    from repro.farm.pool import EngineConfig
     from repro.prob import run_probabilistic_sweep
 
-    config = EngineConfig(
-        backend=_resolve_backend(payload), weight=payload.get("weight")
-    )
     threshold, default, limit = _prob_params(payload)
     result = run_probabilistic_sweep(
         network,
-        payload["query"],
+        query,
         threshold=threshold,
         default=default,
         max_scenarios=limit,
         config=config,
-        timeout=payload.get("timeout"),
+        timeout=timeout,
     )
     response: Dict[str, Any] = {
         "status": result.verdict.value,
-        "query": payload["query"],
+        "query": query,
         "prob": {
             "threshold": result.threshold,
             "verdict": result.verdict.value,
@@ -256,35 +321,20 @@ def _prob_verify(
 def _verify_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, Any]:
     """Handle one /verify request body; returns the response document.
 
-    Engines are cached per (network content key, engine configuration)
-    in the process-wide :func:`~repro.farm.cache.worker_cache`, so
-    repeated interactive verifications reuse the compiled network and
-    the compile memo instead of rebuilding an engine per request. The
-    content key also feeds the shared artifact store (when one is
-    attached) so sibling worker processes reuse compiled queries.
+    Engines come from the server's table (:meth:`_NetworkCache.engine`),
+    so repeated interactive verifications reuse the compile memo instead
+    of rebuilding an engine per request.
     """
-    from repro.farm.cache import worker_cache
-    from repro.farm.pool import EngineConfig
-
-    if "query" not in payload:
-        raise ReproError("request needs a 'query' field")
+    query = _query_field(payload)
+    timeout = _number_field(payload, "timeout")
     network, network_key = _resolve_network_keyed(
         payload.get("network", "example"), cache
     )
+    config = _engine_config(payload)
     if _prob_requested(payload):
-        return _prob_verify(payload, network)
-    config = EngineConfig(
-        backend=_resolve_backend(payload),
-        weight=payload.get("weight"),
-        triage=_resolve_triage(payload),
-    )
-    engine = worker_cache().engine(
-        network_key, config, lambda: config.build(network)
-    )
-    engine.attach_artifact_key(network_key)
-    result = engine.verify(
-        payload["query"], timeout_seconds=payload.get("timeout")
-    )
+        return _prob_verify(payload, network, query, config, timeout)
+    engine = cache.engine(network_key, config, network)
+    result = engine.verify(query, timeout_seconds=timeout)
 
     response: Dict[str, Any] = {
         "status": result.status.value,
@@ -349,12 +399,7 @@ def _lint_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, An
 
     network = _resolve_network(payload.get("network", "example"), cache)
     for key in ("failed_links", "rules", "suppress"):
-        value = payload.get(key)
-        if value is not None and (
-            not isinstance(value, list)
-            or not all(isinstance(item, str) for item in value)
-        ):
-            raise ReproError(f"'{key}' must be a list of strings")
+        _string_list_field(payload, key)
     queries = _query_entries(payload.get("queries"))
     try:
         config = LintConfig.of(
@@ -383,7 +428,6 @@ def _submit_job(
     client: Optional[str] = None,
 ) -> Dict[str, Any]:
     """Handle one POST /jobs body: build the sweep, start it, return the id."""
-    from repro.farm.pool import EngineConfig
     from repro.farm.scenarios import (
         failure_scenarios,
         preflight_index,
@@ -398,15 +442,12 @@ def _submit_job(
         if not queries:
             raise ReproError("'queries' must be a non-empty list")
     elif "query" in payload:
-        queries = [("query", payload["query"])]
+        queries = [("query", _query_field(payload))]
     else:
         raise ReproError("request needs a 'query' or 'queries' field")
 
-    config = EngineConfig(
-        backend=_resolve_backend(payload),
-        weight=payload.get("weight"),
-        triage=_resolve_triage(payload),
-    )
+    config = _engine_config(payload)
+    timeout = _number_field(payload, "timeout")
 
     preflight = bool(payload.get("preflight"))
     sweep_failures = payload.get("sweep_failures")
@@ -439,12 +480,18 @@ def _submit_job(
     elif sweep_failures is not None:
         if not isinstance(sweep_failures, int) or sweep_failures < 0:
             raise ReproError("'sweep_failures' must be a non-negative integer")
+        links = _string_list_field(payload, "sweep_links")
+        limit = payload.get("sweep_limit", 10_000)
+        if limit is not None and (
+            isinstance(limit, bool) or not isinstance(limit, int)
+        ):
+            raise ReproError("'sweep_limit' must be an integer or null")
         scenarios = failure_scenarios(
             network,
             queries,
             max_failures=sweep_failures,
-            links=payload.get("sweep_links"),
-            limit=payload.get("sweep_limit", 10_000),
+            links=links,
+            limit=limit,
             preflight=preflight,
         )
         description = f"failure sweep ≤{sweep_failures} on {network.name}"
@@ -457,9 +504,7 @@ def _submit_job(
         raise ReproError("'jobs' must be a positive integer")
     workers = min(workers, MAX_SWEEP_WORKERS)
 
-    jobs, payloads, prebuilt = scenarios_to_jobs(
-        scenarios, config, timeout=payload.get("timeout")
-    )
+    jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config, timeout=timeout)
     run = manager.submit(
         jobs,
         payloads,
@@ -486,43 +531,6 @@ class _Handler(BaseHTTPRequestHandler):
         if getattr(self.server, "verbose", False):
             super().log_message(format, *args)
 
-    def _read_body(self) -> Optional[bytes]:
-        """Read the request body (``None`` when no Content-Length).
-
-        Raises :class:`_BadRequest` (→ 400 JSON error, never a 500
-        traceback) for an invalid ``Content-Length``, an oversized body,
-        or a body the client truncated. ``rfile.read(n)`` on a socket
-        may legally return *fewer* than ``n`` bytes, so the read loops
-        until the announced length arrived or the stream ended early —
-        a single short read used to hand the JSON parser half a body.
-        """
-        length_header = self.headers.get("Content-Length")
-        if length_header is None:
-            return None
-        try:
-            length = int(length_header)
-        except ValueError:
-            raise _BadRequest(f"invalid Content-Length {length_header!r}")
-        if length < 0:
-            raise _BadRequest(f"invalid Content-Length {length_header!r}")
-        if length > MAX_BODY_BYTES:
-            raise _BadRequest(
-                f"request body exceeds the {MAX_BODY_BYTES}-byte limit"
-            )
-        chunks: List[bytes] = []
-        remaining = length
-        while remaining > 0:
-            chunk = self.rfile.read(remaining)
-            if not chunk:
-                received = length - remaining
-                raise _BadRequest(
-                    f"request body was truncated "
-                    f"({received} of {length} bytes received)"
-                )
-            chunks.append(chunk)
-            remaining -= len(chunk)
-        return b"".join(chunks)
-
     def _write_response(self, response: ServiceResponse) -> None:
         self.send_response(response.status)
         self.send_header("Content-Type", response.content_type)
@@ -548,10 +556,8 @@ class _Handler(BaseHTTPRequestHandler):
     def _dispatch(self) -> None:
         core: ServiceCore = self.server.core  # type: ignore[attr-defined]
         try:
-            body = self._read_body()
+            body = read_body(self.headers.get("Content-Length"), self.rfile)
         except _BadRequest as error:
-            from repro.service.core import error_response
-
             self._write_response(error_response(str(error), 400))
             return
         request = ServiceRequest(
@@ -684,22 +690,9 @@ class VerificationServer:
         self.stop()
 
 
-def main() -> None:  # pragma: no cover - interactive entry point
-    """Run the service from the command line until interrupted."""
-    import argparse
-
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=8080)
-    args = parser.parse_args()
-    server = VerificationServer(args.host, args.port, verbose=True)
-    print(f"aalwines verification service on http://{server.host}:{server.port}/")
-    server.start()
-    try:
-        threading.Event().wait()
-    except KeyboardInterrupt:
-        server.stop()
-
-
 if __name__ == "__main__":  # pragma: no cover
-    main()
+    import sys
+
+    from repro.cli import serve_main
+
+    sys.exit(serve_main())

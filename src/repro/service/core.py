@@ -4,6 +4,8 @@ One :class:`ServiceCore` owns everything two transports share — the
 stdlib ``http.server`` handler (:mod:`repro.server`) and the WSGI app
 (:mod:`repro.app`):
 
+* **the request-body reader** (:func:`read_body`): the Content-Length
+  parse, the :data:`MAX_BODY_BYTES` cap and the short-read loop;
 * **routing** on the *parsed* request target: the raw target is split
   with :func:`urllib.parse.urlsplit` and the path component unquoted
   exactly once, so ``GET /jobs/<id>?include_items=0`` and URL-encoded
@@ -33,6 +35,7 @@ import time
 from dataclasses import dataclass, field
 from typing import (
     Any,
+    BinaryIO,
     Callable,
     Dict,
     Iterator,
@@ -58,6 +61,10 @@ _FINISHED_STATES = ("done", "failed", "cancelled")
 #: Default seconds between SSE snapshot polls (tunable per core for
 #: tests, clamped per request via ``?interval=``).
 DEFAULT_STREAM_INTERVAL = 0.25
+
+#: Largest request body the service accepts (inline networks are big;
+#: this is a DoS guard, not a format limit).
+MAX_BODY_BYTES = 64 * 1024 * 1024
 
 JSON_CONTENT_TYPE = "application/json; charset=utf-8"
 SSE_CONTENT_TYPE = "text/event-stream; charset=utf-8"
@@ -128,6 +135,46 @@ def error_response(message: str, status: int) -> ServiceResponse:
     return json_response({"error": message}, status=status)
 
 
+def read_body(
+    length_header: Optional[str], stream: Optional[BinaryIO]
+) -> Optional[bytes]:
+    """Read a request body of ``Content-Length: length_header`` bytes
+    from ``stream``; ``None`` when the request has no Content-Length.
+
+    Raises :class:`_BadRequest` (→ 400 JSON error, never a 500
+    traceback) for an invalid ``Content-Length``, an oversized body, or
+    a body the client truncated. ``stream.read(n)`` on a socket may
+    legally return *fewer* than ``n`` bytes, so the read loops until the
+    announced length arrived or the stream ended early; one read could
+    hand the JSON parser half a body.
+    """
+    if length_header is None:
+        return None
+    try:
+        length = int(length_header)
+    except ValueError:
+        length = -1
+    if length < 0:
+        raise _BadRequest(f"invalid Content-Length {length_header!r}")
+    if length > MAX_BODY_BYTES:
+        raise _BadRequest(f"request body exceeds the {MAX_BODY_BYTES}-byte limit")
+    if stream is None:
+        raise _BadRequest("request body is missing")
+    chunks: List[bytes] = []
+    remaining = length
+    while remaining > 0:
+        chunk = stream.read(remaining)
+        if not chunk:
+            received = length - remaining
+            raise _BadRequest(
+                f"request body was truncated "
+                f"({received} of {length} bytes received)"
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 def parse_json_body(raw: Optional[bytes]) -> Dict[str, Any]:
     """Decode a JSON-object request body (raises :class:`_BadRequest`)."""
     if raw is None:
@@ -151,7 +198,7 @@ def _flag(values: List[str], default: bool = True) -> bool:
 class ServiceCore:
     """The shared service logic behind every transport.
 
-    ``cache`` is the built-in network cache (a
+    ``cache`` holds the built-in networks and the ``/verify`` engines (a
     :class:`repro.server._NetworkCache`; one is created when omitted),
     ``jobs`` the :class:`~repro.farm.jobs.JobManager`. ``limiter``
     defaults to a no-op :class:`RateLimiter`; pass one built from

@@ -9,10 +9,10 @@ results, timeouts and errors, and aggregates the §4.2-style statistics
 
 With ``jobs=N`` the batch fans out over the verification farm
 (:mod:`repro.farm`): the queries are shipped to a pool of worker
-processes that share a content-hash artifact cache. The parallel path
-runs the exact same per-query code (:func:`run_single`) on an engine
-rebuilt from the same configuration, so it returns the same verdicts
-and summary counts as the serial loop — only the timing fields differ.
+processes. The parallel path runs the exact same per-query code
+(:func:`run_single`) on an engine rebuilt from the same configuration,
+so it returns the same verdicts and summary counts as the serial loop —
+only the timing fields differ.
 
 The CLI exposes it via ``aalwines --queries-file FILE [--jobs N]``.
 """

@@ -168,8 +168,9 @@ class QueryCompiler:
     is safe to share — reductions build *new* systems and the interning
     tables are append-only arenas (with a thread-safe ``intern``), so
     concurrent solves over one memoized instance never interfere. This is
-    what lets the farm's engine cache amortize compilation across a
-    whole what-if sweep. The memo holds :data:`MEMO_CAPACITY` entries.
+    what lets the server's long-lived ``/verify`` engines answer hot
+    queries without recompiling. The memo holds :data:`MEMO_CAPACITY`
+    entries.
     """
 
     def __init__(
@@ -224,7 +225,7 @@ class QueryCompiler:
         store = active_store()
         if store is None:
             return None, None, None
-        from repro.farm.cache import hash_text
+        from repro.farm.store import hash_text
 
         key = hash_text(
             f"{self.artifact_key}|{mode}|{query!r}|{weight_vector!r}"
@@ -254,9 +255,9 @@ class QueryCompiler:
         if mode not in ("over", "under"):
             raise VerificationError(f"unknown compilation mode {mode!r}")
         memo_key = (query, mode, weight_vector)
-        # Like the farm's ArtifactCache, the build runs *under* the lock:
-        # compilation is deterministic, and compile-once keeps the
-        # observability counters independent of thread scheduling.
+        # The build runs *under* the lock: compilation is deterministic,
+        # and compile-once keeps the observability counters independent
+        # of thread scheduling.
         with self._memo_lock:
             cached = self._memo.get(memo_key)
             if cached is not None:

@@ -1,23 +1,39 @@
 """Tests for the farm worker pool: parity, containment, crashes."""
 
+import concurrent.futures
+import functools
+import gc
 import multiprocessing
 import os
 import threading
+import weakref
 
 import pytest
 
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
 from repro.errors import FarmError, VerificationError, WeightError
-from repro.farm.cache import ArtifactCache, hash_text
 from repro.farm.pool import EngineConfig, FarmJob, execute_job, run_jobs
 from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
+from repro.farm.store import hash_text
 from repro.io.json_format import network_to_json
 from repro.verification.engine import dual_engine, weighted_engine
+
+
+#: Marks a test whose pool workers must inherit the test's patches.
+FORK_ONLY = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="pool workers inherit the patch only under fork",
+)
 
 
 @pytest.fixture(scope="module")
 def network():
     return build_example_network()
+
+
+@pytest.fixture()
+def audit(network):
+    return link_audit_scenarios(network, [EXAMPLE_QUERIES[0]])
 
 
 @pytest.fixture(scope="module")
@@ -81,10 +97,6 @@ class TestInProcessRuns:
     """``max_workers <= 1`` resolves networks from the run's own
     arguments; the pool's module globals belong to pool workers."""
 
-    @pytest.fixture()
-    def audit(self, network):
-        return link_audit_scenarios(network, [EXAMPLE_QUERIES[0]])
-
     def test_leaves_the_pool_globals_alone(self, audit, monkeypatch):
         import repro.farm.pool as pool
 
@@ -96,12 +108,8 @@ class TestInProcessRuns:
         assert pool._NETWORK_PAYLOADS == {}
         assert pool._PREBUILT == {}
 
-    def test_concurrent_runs_over_the_same_variants(self, audit, monkeypatch):
+    def test_concurrent_runs_over_the_same_variants(self, audit):
         """A run that finishes first takes nothing the other still needs."""
-        # A one-slot cache makes the second run rebuild its variants
-        # after the first run has returned.
-        cache = ArtifactCache(max_networks=1, max_engines=1)
-        monkeypatch.setattr("repro.farm.pool.worker_cache", lambda: cache)
         first_done = threading.Event()
         results = {}
 
@@ -127,6 +135,54 @@ class TestInProcessRuns:
         assert len(outcomes["first"]) == len(audit)
         assert "error" not in outcomes["first"]
         assert outcomes["second"] == outcomes["first"]
+
+    def test_no_variant_outlives_its_run(self):
+        """The run keeps its items, but no network or engine: once the
+        caller drops its scenarios, jobs and networks, every variant
+        network is garbage."""
+        network = build_example_network()
+        # Variants of their own content, so no artifact kept under an
+        # equal content key can stand in for them.
+        network.topology.name = "lifetime-probe"
+        scenarios = link_audit_scenarios(network, [EXAMPLE_QUERIES[0]])
+        variants = [weakref.ref(scenario.network) for scenario in scenarios]
+        assert len(variants) == 8
+        jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
+        items = run_jobs(jobs, payloads, max_workers=1, prebuilt=prebuilt)
+        del scenarios, jobs, payloads, prebuilt
+        gc.collect()
+        assert [item.outcome for item in items].count("error") == 0
+        assert [ref for ref in variants if ref() is not None] == []
+
+
+class TestNetworkHandOff:
+    """A run's jobs take its pre-built variants; only workers without
+    them (``spawn``/``forkserver``) build from the initializer payloads."""
+
+    @pytest.mark.parametrize("workers", [1, pytest.param(2, marks=FORK_ONLY)])
+    def test_prebuilt_variants_are_not_deserialized(
+        self, audit, monkeypatch, workers
+    ):
+        def refuse(_payload):
+            raise FarmError("a pre-built variant was deserialized")
+
+        monkeypatch.setattr("repro.io.json_format.network_from_json", refuse)
+        jobs, payloads, prebuilt = scenarios_to_jobs(audit)
+        results = run_jobs(jobs, payloads, max_workers=workers, prebuilt=prebuilt)
+        assert [item.error for item in results if item.outcome == "error"] == []
+
+    def test_spawned_workers_build_from_the_payloads(self, audit, monkeypatch):
+        spawning = functools.partial(
+            concurrent.futures.ProcessPoolExecutor,
+            mp_context=multiprocessing.get_context("spawn"),
+        )
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spawning)
+        jobs, payloads, prebuilt = scenarios_to_jobs(audit)
+        serial = run_jobs(jobs, payloads, max_workers=1, prebuilt=prebuilt)
+        spawned = run_jobs(jobs, payloads, max_workers=2, prebuilt=prebuilt)
+        outcomes = [item.outcome for item in serial]
+        assert "error" not in outcomes
+        assert [item.outcome for item in spawned] == outcomes
 
 
 class TestParallelParity:

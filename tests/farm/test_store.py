@@ -11,13 +11,16 @@ import threading
 import pytest
 
 from repro import obs
+from repro.datasets.example import build_example_network
 from repro.farm.store import (
     STORE_ENV,
     SharedArtifactStore,
     active_store,
     configure_store,
+    hash_text,
     reset_store_for_tests,
 )
+from repro.io.json_format import network_to_json
 
 KEY = "ab" + "0" * 62  # a plausible sha-256 hex digest
 
@@ -38,6 +41,14 @@ def isolated_global_store():
         os.environ.pop(STORE_ENV, None)
     else:
         os.environ[STORE_ENV] = saved
+
+
+def test_hash_text_is_stable_and_content_keyed():
+    network = build_example_network()
+    payload = network_to_json(network)
+    assert hash_text(payload) == hash_text(payload)
+    assert hash_text(payload) != hash_text(payload + " ")
+    assert len(hash_text(payload)) == 64  # sha256 hex
 
 
 class TestArtifacts:

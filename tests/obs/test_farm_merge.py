@@ -5,8 +5,8 @@ import pytest
 
 from repro import obs
 from repro.datasets.builtins import load_builtin
-from repro.farm.cache import hash_text
 from repro.farm.pool import FarmJob, plan_chunks, run_jobs
+from repro.farm.store import hash_text
 from repro.io.json_format import network_to_json
 
 PHI0 = "<ip> [.#v0] .* [v3#.] <ip> 0"
@@ -73,25 +73,15 @@ class TestWorkerDeltaMerge:
             assert aggregates["verify"]["count"] == 8.0
 
     def test_serial_and_parallel_count_the_same_work(self, example_payload):
+        """Every job builds its own engine, so no count — compile-memo
+        hits included — depends on how jobs land on workers."""
         key, payload = example_payload
         jobs = _jobs(key, 6)
-        from repro.farm.cache import worker_cache
-
         counted = {}
         for workers in (1, 2):
-            worker_cache().clear()
             with obs.recording():
                 run_jobs(jobs, {key: payload}, max_workers=workers)
-                counters = obs.counters()
-            counted[workers] = {
-                name: value
-                for name, value in counters.items()
-                # Cache and compile-memo hit/miss splits depend on how
-                # jobs land on workers (each worker's engine compiles a
-                # shared query once); the verification work itself —
-                # saturation, verdicts, witnesses — must match.
-                if not name.startswith(("farm.cache.", "compiler."))
-            }
+                counted[workers] = obs.counters()
         assert counted[1] == counted[2]
 
     def test_disabled_parent_measures_nothing(self, example_payload):

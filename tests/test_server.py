@@ -2,10 +2,16 @@
 
 import http.client
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from repro.server import VerificationServer
+from repro import obs
+from repro.datasets.example import build_example_network
+from repro.farm.pool import EngineConfig
+from repro.server import VerificationServer, _NetworkCache
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,18 @@ class TestVerify:
             ({"network": 7, "query": "<ip> . <ip> 0"}, 400),
             ({"network": "example", "query": "<ip .*"}, 400),  # syntax error
             ({"network": "example", "query": "<ip> . <ip> 0", "engine": "x"}, 400),
+            ({"network": "example", "query": "<ip> . <ip> 0", "timeout": "abc"}, 400),
+            ({"network": "example", "query": "<ip> . <ip> 0", "timeout": [1]}, 400),
+            ({"network": "example", "query": 5}, 400),
+            (
+                {
+                    "network": "example",
+                    "query": "<ip> . <ip> 0",
+                    "sweep_prob": True,
+                    "timeout": "abc",
+                },
+                400,
+            ),
         ],
     )
     def test_bad_requests(self, server, payload, expected_status):
@@ -352,6 +370,20 @@ class TestJobApi:
             },
             {"network": "example", "queries": "<ip> . <ip> 0"},  # not a list
             {"network": "example", "queries": [{"name": "x", "text": 5}]},
+            {
+                "network": "example",
+                "query": "<ip> . <ip> 0",
+                "sweep_failures": 1,
+                "sweep_links": 5,
+            },
+            {
+                "network": "example",
+                "query": "<ip> . <ip> 0",
+                "sweep_failures": 1,
+                "sweep_limit": "x",
+            },
+            {"network": "example", "query": "<ip> . <ip> 0", "timeout": "abc"},
+            {"network": "example", "query": 5},
         ],
     )
     def test_bad_job_submissions(self, server, payload):
@@ -753,34 +785,81 @@ class TestEngineSettingsCheckedUpfront:
         assert "bogus" in document["error"]
 
 
-class TestCacheMetrics:
-    def test_metrics_expose_cache_counters(self, server):
-        """Every counter a /verify pair and an inline /jobs sweep tick on
-        a cold artifact cache is served once, under its registry name."""
-        from repro.farm.cache import worker_cache
+class TestEngineTable:
+    """``/verify`` engines: one per (network content key, engine
+    config), least recently used evicted first."""
 
-        worker_cache().clear()
+    def test_engine_reused_per_config(self):
+        table = _NetworkCache()
+        network = build_example_network()
+        dual = EngineConfig()
+        weighted = EngineConfig(weight="failures")
+        with obs.recording():
+            e1 = table.engine("k", dual, network)
+            e2 = table.engine("k", dual, network)
+            e3 = table.engine("k", weighted, network)
+            assert obs.counter("server.engine_hits") == 1
+            assert obs.counter("server.engine_misses") == 2
+        assert e1 is e2
+        assert e1 is not e3
+
+    def test_triage_selection_is_part_of_the_engine_key(self):
+        """Regression: configs differing only in the triage mode must
+        occupy distinct engine slots. A table that ignored ``triage=``
+        would hand a request for the full pipeline an engine that
+        answers from triage alone."""
+        table = _NetworkCache()
+        network = build_example_network()
+        full = EngineConfig()
+        only = EngineConfig(triage="only")
+        assert full != only  # frozen dataclass equality keys the table
+        with obs.recording():
+            e1 = table.engine("k", full, network)
+            e2 = table.engine("k", only, network)
+            assert e1 is not e2
+            assert e1.triage == "off" and e2.triage == "only"
+            assert table.engine("k", full, network) is e1
+            assert table.engine("k", only, network) is e2
+            assert obs.counter("server.engine_misses") == 2
+            assert obs.counter("server.engine_hits") == 2
+
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr("repro.server.ENGINE_SLOTS", 2)
+        table = _NetworkCache()
+        network = build_example_network()
+        config = EngineConfig()
+        with obs.recording():
+            a = table.engine("a", config, network)
+            b = table.engine("b", config, network)
+            assert table.engine("a", config, network) is a  # refresh a
+            table.engine("c", config, network)  # evicts b (oldest)
+            assert obs.counter("server.engine_evictions") == 1
+            assert table.engine("a", config, network) is a  # a stayed
+            assert obs.counter("server.engine_hits") == 2
+            assert table.engine("b", config, network) is not b  # rebuilt
+            assert obs.counter("server.engine_misses") == 4
+
+
+class TestCacheMetrics:
+    def test_metrics_expose_cache_counters(self):
+        """Every counter a /verify pair ticks on a fresh server's engine
+        table is served once, under its registry name."""
         query = "<ip> [.#v0] .* [v3#.] <ip> 0"
-        for _ in range(2):  # the second request hits the engine and memo
-            status, _document = request(
-                server, "POST", "/verify", {"network": "example", "query": query}
+        with VerificationServer(port=0) as server:
+            for _ in range(2):  # the second request hits the engine and memo
+                status, _document = request(
+                    server, "POST", "/verify", {"network": "example", "query": query}
+                )
+                assert status == 200
+            connection = http.client.HTTPConnection(
+                server.host, server.port, timeout=60
             )
-            assert status == 200
-        status, document = request(
-            server, "POST", "/jobs",
-            {"network": "example", "query": query, "sweep_failures": 1},
-        )
-        assert status == 202
-        assert server.jobs.get(document["id"]).wait(60)
-        connection = http.client.HTTPConnection(
-            server.host, server.port, timeout=60
-        )
-        try:
-            connection.request("GET", "/metrics")
-            response = connection.getresponse()
-            body = response.read().decode("utf-8")
-        finally:
-            connection.close()
+            try:
+                connection.request("GET", "/metrics")
+                response = connection.getresponse()
+                body = response.read().decode("utf-8")
+            finally:
+                connection.close()
         assert response.status == 200
         values = dict(
             line.split(" ", 1)
@@ -788,20 +867,19 @@ class TestCacheMetrics:
             if line and not line.startswith("#")
         )
         for metric in (
-            "aalwines_farm_cache_network_misses_total",
-            "aalwines_farm_cache_engine_misses_total",
-            "aalwines_farm_cache_engine_hits_total",
+            "aalwines_server_engine_misses_total",
+            "aalwines_server_engine_hits_total",
             "aalwines_compiler_memo_misses_total",
             "aalwines_compiler_memo_hits_total",
         ):
             assert f"# TYPE {metric} counter" in body
             assert int(values[metric]) > 0
         assert "aalwines_compile_memo_" not in body
+        assert "aalwines_farm_cache_" not in body
 
     def test_no_metric_is_declared_twice(self, server):
-        """The obs registry exports farm.cache.* counters of its own once
-        they tick while enabled; the appended cache block must skip those
-        so the combined exposition never repeats a series."""
+        """The exposition is the registry alone, so a probabilistic
+        sweep's counters never repeat a series."""
         request(
             server,
             "POST",
@@ -869,6 +947,28 @@ class TestTriage:
         )
         assert status == 400
         assert "triage" in document["error"]
+
+    def test_probabilistic_verify_rejects_an_unknown_mode(self, server):
+        status, document = request(
+            server, "POST", "/verify",
+            {"network": "example", "query": self.PHI0, "sweep_prob": True,
+             "triage": "bogus"},
+        )
+        assert status == 400
+        assert "triage" in document["error"]
+
+    def test_probabilistic_verify_runs_triage(self, server):
+        """Each scenario of a probabilistic /verify runs the requested
+        triage tier, as the same body does on /jobs."""
+        with obs.recording():
+            status, document = request(
+                server, "POST", "/verify",
+                {"network": "example", "query": self.PHI0,
+                 "sweep_prob": True, "triage": "only"},
+            )
+            runs = obs.counter("triage.runs")
+        assert status == 200
+        assert runs >= document["prob"]["scenarios_verified"] > 0
 
     def test_lint_queries_surface_dp007(self, server):
         status, document = request(
@@ -1096,3 +1196,19 @@ class TestHttpRegressions:
         status, document = request(server, "GET", "/jobs/nope/stream")
         assert status == 404
         assert "error" in document
+
+
+def test_module_entry_point_is_aalwines_serve():
+    """``python -m repro.server`` takes the ``aalwines serve`` flags."""
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.path.abspath(src) + os.pathsep + env.get("PYTHONPATH", "")
+    completed = subprocess.run(
+        [sys.executable, "-m", "repro.server", "--help"],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
+    assert "--workers" in completed.stdout
