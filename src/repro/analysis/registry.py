@@ -29,6 +29,7 @@ from typing import (
 from repro.errors import AnalysisError
 from repro.model.network import MplsNetwork
 from repro.model.topology import Link
+from repro.query.parser import named_queries
 from repro.analysis.context import AnalysisContext
 from repro.analysis.diagnostics import (
     Diagnostic,
@@ -149,16 +150,6 @@ def _link_names(failed_links: LinksArg) -> FrozenSet[str]:
     )
 
 
-def _named_queries(queries: QueryArg) -> Tuple[Tuple[str, str], ...]:
-    named: List[Tuple[str, str]] = []
-    for entry in queries:
-        if isinstance(entry, str):
-            named.append((f"q{len(named):04d}", entry))
-        else:
-            named.append((entry[0], entry[1]))
-    return tuple(named)
-
-
 def analyze(
     network: MplsNetwork,
     failed_links: LinksArg = frozenset(),
@@ -182,7 +173,7 @@ def analyze(
     selected = config.selected()
     start = time.perf_counter()
     context = AnalysisContext(
-        network, _link_names(failed_links), queries=_named_queries(queries)
+        network, _link_names(failed_links), queries=tuple(named_queries(queries))
     )
     findings: List[Diagnostic] = []
     for info in selected:

@@ -59,16 +59,12 @@ def create_app(
     passed, which carries its own.
     """
     if core is None:
-        from repro.farm.jobs import JobManager
-        from repro.farm.store import active_store, configure_store
-        from repro.server import _NetworkCache
+        if store is not None:
+            from repro.farm.store import configure_store
 
-        store_obj = configure_store(store) if store is not None else active_store()
-        limiter = RateLimiter(rate_limit) if rate_limit is not None else None
+            configure_store(store)
         core = ServiceCore(
-            cache=_NetworkCache(),
-            jobs=JobManager(store=store_obj),
-            limiter=limiter,
+            limiter=RateLimiter(rate_limit) if rate_limit is not None else None
         )
     if observe:
         obs.enable()

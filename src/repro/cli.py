@@ -35,6 +35,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import replace
 from typing import TYPE_CHECKING, Dict, Optional
 
 from repro import obs
@@ -73,6 +74,9 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
 
 def build_parser() -> argparse.ArgumentParser:
     """The aalwines argument parser (exposed for doc generation)."""
+    from repro.model.quantities import DEFAULT_FAILURE_PROBABILITY
+    from repro.verification.engine import ENGINE_NAMES, TRIAGE_MODES
+
     parser = argparse.ArgumentParser(
         prog="aalwines",
         description="Fast quantitative what-if analysis for MPLS networks",
@@ -87,7 +91,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--engine",
-        choices=("dual", "moped", "poststar", "prestar"),
+        choices=ENGINE_NAMES,
         default="dual",
         help="backend engine (default: dual — the AalWiNes engine)",
     )
@@ -102,7 +106,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query.add_argument(
         "--triage",
-        choices=("auto", "off", "only"),
+        choices=TRIAGE_MODES,
         default="off",
         help="static triage tier: 'auto' tries to prove the verdict by "
         "abstract interpretation before building any pushdown system "
@@ -155,7 +159,7 @@ def build_parser() -> argparse.ArgumentParser:
     query.add_argument(
         "--prob-default",
         type=float,
-        default=None,
+        default=DEFAULT_FAILURE_PROBABILITY,
         metavar="P",
         help="failure probability assumed for links that do not declare "
         "one (default: 1e-3)",
@@ -294,10 +298,7 @@ def lint_main(argv: Optional[list] = None) -> int:
         failed = frozenset(_split_codes(args.failed_links) or ())
         queries: list = list(args.queries)
         if args.queries_file:
-            from repro.verification.batch import parse_query_file
-
-            with open(args.queries_file, "r", encoding="utf-8") as handle:
-                queries.extend(parse_query_file(handle.read()))
+            queries.extend(_query_file(args.queries_file))
         report = analyze(
             network, failed_links=failed, config=config, queries=queries
         )
@@ -349,12 +350,17 @@ def _engine_config(args: argparse.Namespace) -> EngineConfig:
     """The engine settings the verification flags select."""
     from repro.farm.pool import EngineConfig
 
-    return EngineConfig(
-        backend="poststar" if args.engine == "dual" else args.engine,
-        use_reductions=not args.no_reductions,
-        weight=args.weight,
-        triage=args.triage,
+    return EngineConfig.from_names(
+        args.engine, args.weight, args.triage, use_reductions=not args.no_reductions
     )
+
+
+def _query_file(path: str) -> list:
+    """The named queries of a query file (see ``parse_query_file``)."""
+    from repro.verification.batch import parse_query_file
+
+    with open(path, "r", encoding="utf-8") as handle:
+        return parse_query_file(handle.read())
 
 
 def _print_result(result: VerificationResult, args: argparse.Namespace) -> None:
@@ -395,10 +401,9 @@ def _print_item(item) -> None:
 
 def _run_batch(network: MplsNetwork, args: argparse.Namespace) -> int:
     """Verify a whole query file; exit 0 when everything was answered."""
-    from repro.verification.batch import BatchVerifier, parse_query_file
+    from repro.verification.batch import BatchVerifier
 
-    with open(args.queries_file, "r", encoding="utf-8") as handle:
-        queries = parse_query_file(handle.read())
+    queries = _query_file(args.queries_file)
     engine = _engine_config(args).build(network)
     verifier = BatchVerifier(
         engine,
@@ -426,11 +431,10 @@ def _run_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
     verification farm when --jobs asks for workers."""
     from repro.farm.pool import run_jobs
     from repro.farm.scenarios import failure_scenarios, scenarios_to_jobs
-    from repro.verification.batch import parse_query_file, summarize
+    from repro.verification.batch import summarize
 
     if args.queries_file:
-        with open(args.queries_file, "r", encoding="utf-8") as handle:
-            queries = parse_query_file(handle.read())
+        queries = _query_file(args.queries_file)
     elif args.query:
         queries = [("query", args.query)]
     else:
@@ -486,24 +490,17 @@ def _run_prob_sweep(network: MplsNetwork, args: argparse.Namespace) -> int:
     the requested probability, 1 it does not, 2 undecided (no threshold
     given, or the scenario budget ran out before the verdict settled).
     """
-    from repro.model.quantities import DEFAULT_FAILURE_PROBABILITY
     from repro.prob import ProbVerdict, run_probabilistic_sweep
 
     if not args.query:
         raise ReproError("--prob-threshold/--sweep-prob need --query")
-    config = _engine_config(args)
-    default = (
-        args.prob_default
-        if args.prob_default is not None
-        else DEFAULT_FAILURE_PROBABILITY
-    )
     result = run_probabilistic_sweep(
         network,
         args.query,
         threshold=args.prob_threshold,
-        default=default,
+        default=args.prob_default,
         max_scenarios=args.prob_limit,
-        config=config,
+        config=_engine_config(args),
         max_workers=max(1, args.jobs),
         timeout=args.timeout,
     )
@@ -605,33 +602,15 @@ def serve_main(argv: Optional[list] = None) -> int:
     args = parser.parse_args(argv)
     if args.workers < 1:
         parser.error("--workers must be at least 1")
+    overrides = {
+        "interactive_rate": args.interactive_rate,
+        "sweep_rate": args.sweep_rate,
+        "active_jobs_per_client": args.max_active_jobs,
+    }
+    overrides = {name: value for name, value in overrides.items() if value is not None}
     rate_limit = None
-    if (
-        args.rate_limit
-        or args.interactive_rate is not None
-        or args.sweep_rate is not None
-        or args.max_active_jobs is not None
-    ):
-        defaults = RateLimitConfig.production_defaults()
-        rate_limit = RateLimitConfig(
-            interactive_rate=(
-                args.interactive_rate
-                if args.interactive_rate is not None
-                else defaults.interactive_rate
-            ),
-            interactive_burst=defaults.interactive_burst,
-            sweep_rate=(
-                args.sweep_rate
-                if args.sweep_rate is not None
-                else defaults.sweep_rate
-            ),
-            sweep_burst=defaults.sweep_burst,
-            active_jobs_per_client=(
-                args.max_active_jobs
-                if args.max_active_jobs is not None
-                else defaults.active_jobs_per_client
-            ),
-        )
+    if args.rate_limit or overrides:
+        rate_limit = replace(RateLimitConfig.production_defaults(), **overrides)
     try:
         serve_forever(
             host=args.host,

@@ -20,7 +20,7 @@ import itertools
 import os
 import threading
 import time
-from typing import TYPE_CHECKING, Any, Dict, List, Optional
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, NamedTuple, Optional
 
 from repro import obs
 
@@ -31,7 +31,7 @@ from repro.model.network import MplsNetwork
 from repro.verification.batch import BatchItem, BatchSummary
 from repro.farm.pool import FarmJob, run_jobs
 
-#: Lifecycle: pending → running → done | failed | cancelled.
+#: Lifecycle: pending (building its sweep) → running → done | failed | cancelled.
 PENDING = "pending"
 RUNNING = "running"
 DONE = "done"
@@ -40,59 +40,84 @@ CANCELLED = "cancelled"
 
 _FINISHED = (DONE, FAILED, CANCELLED)
 
+#: The summary counts a snapshot shows, in order.
+_COUNTS = (
+    "total", "satisfied", "unsatisfied", "inconclusive", "timeouts", "errors", "triaged"
+)
+
+
+class RunPlan(NamedTuple):
+    """A built sweep: the jobs with their networks (as
+    :func:`repro.farm.scenarios.scenarios_to_jobs` returns them), the
+    lint findings by job index (:func:`~repro.farm.scenarios.preflight_index`)
+    and, for a probabilistic sweep, the job-aligned scenario masses."""
+
+    jobs: List[FarmJob]
+    networks: Dict[str, str]
+    prebuilt: Optional[Dict[str, MplsNetwork]] = None
+    preflight: Optional[Dict[int, tuple]] = None
+    probabilities: Optional[List[float]] = None
+
 
 class FarmRun:
     """One tracked sweep: live progress, partial summary, cancellation.
 
-    ``preflight`` maps job index → static lint findings of that job's
-    network variant (see :func:`repro.farm.scenarios.preflight_index`);
-    the findings are attached to the items as they complete and appear
-    in :meth:`snapshot`.
+    A run is ``pending`` until its :class:`RunPlan` is built; preflight
+    findings are attached to the items as they complete and appear in
+    :meth:`snapshot`.
     """
 
     def __init__(
         self,
         run_id: str,
-        jobs: List[FarmJob],
+        total: int,
         description: str = "",
-        preflight: Optional[Dict[int, tuple]] = None,
-        probabilities: Optional[List[float]] = None,
         prob_threshold: Optional[float] = None,
         client: Optional[str] = None,
     ) -> None:
         self.id = run_id
         self.description = description
-        self.jobs = jobs
-        self.preflight = preflight
+        self.preflight: Optional[Dict[int, tuple]] = None
         self.client = client
-        self.total = len(jobs)
+        self.total = total
         self.state = PENDING
         self.error: Optional[str] = None
-        self.created = time.time()
-        self.finished_at: Optional[float] = None
         #: When the owning manager last published this run to the shared
         #: store (monotonic-ish wall clock; publication throttling).
         self._last_publish = 0.0
         self.items: List[Optional[BatchItem]] = [None] * self.total
         self.summary = BatchSummary()
         self.completed = 0
-        self.probabilities = probabilities
+        self.probabilities: Optional[List[float]] = None
+        self.prob_threshold = prob_threshold
         self.prob_early_exit = False
         self.mass: Optional["MassTracker"] = None
-        if probabilities is not None:
-            if len(probabilities) != len(jobs):
-                raise FarmError(
-                    "scenario probabilities must align with the job list "
-                    f"({len(probabilities)} != {len(jobs)})"
-                )
-            from repro.prob.mass import MassTracker
-
-            self.mass = MassTracker(threshold=prob_threshold)
         self._lock = threading.Lock()
         self._cancel = threading.Event()
         self._done = threading.Event()
 
     # -- producer side (manager thread) --------------------------------
+    def _start(self, plan: RunPlan) -> None:
+        """Take the built sweep and enter ``running``; raises
+        :class:`FarmError` when it is not the sweep the run announced."""
+        if len(plan.jobs) != self.total:
+            raise FarmError(f"the sweep built {len(plan.jobs)} jobs, not {self.total}")
+        mass = None
+        if plan.probabilities is not None:
+            if len(plan.probabilities) != self.total:
+                raise FarmError(
+                    "scenario probabilities must align with the job list "
+                    f"({len(plan.probabilities)} != {self.total})"
+                )
+            from repro.prob.mass import MassTracker
+
+            mass = MassTracker(threshold=self.prob_threshold)
+        with self._lock:  # a snapshot sees the plan whole or not at all
+            self.mass = mass
+            self.preflight = plan.preflight
+            self.probabilities = plan.probabilities
+            self.state = RUNNING
+
     def _record(self, index: int, item: BatchItem) -> None:
         with self._lock:
             if self.preflight:
@@ -119,7 +144,6 @@ class FarmRun:
         with self._lock:
             self.state = state
             self.error = error
-            self.finished_at = time.time()
         # Publish the final snapshot *before* releasing waiters: anyone
         # woken by wait() (or an SSE "done" event) may immediately ask a
         # sibling worker, which must not still see the run as running.
@@ -143,6 +167,7 @@ class FarmRun:
     def snapshot(self, include_items: bool = True) -> Dict[str, Any]:
         """JSON-ready view of the run's current state."""
         with self._lock:
+            summary = {name: getattr(self.summary, name) for name in _COUNTS}
             document: Dict[str, Any] = {
                 "id": self.id,
                 "description": self.description,
@@ -150,28 +175,20 @@ class FarmRun:
                 "total": self.total,
                 "completed": self.completed,
                 **({"client": self.client} if self.client else {}),
-                "summary": {
-                    "total": self.summary.total,
-                    "satisfied": self.summary.satisfied,
-                    "unsatisfied": self.summary.unsatisfied,
-                    "inconclusive": self.summary.inconclusive,
-                    "timeouts": self.summary.timeouts,
-                    "errors": self.summary.errors,
-                    "triaged": self.summary.triaged,
-                    "total_seconds": round(self.summary.total_seconds, 6),
-                    "worst_query": self.summary.worst_query,
-                },
+                "summary": dict(
+                    summary,
+                    total_seconds=round(self.summary.total_seconds, 6),
+                    worst_query=self.summary.worst_query,
+                ),
             }
             if self.error is not None:
                 document["error"] = self.error
             if self.mass is not None:
+                bounds = ("lower", "upper", "covered", "residual")
                 document["prob"] = {
                     "threshold": self.mass.threshold,
                     "verdict": self.mass.verdict.value,
-                    "lower": self.mass.lower,
-                    "upper": self.mass.upper,
-                    "covered": self.mass.covered,
-                    "residual": self.mass.residual,
+                    **{name: getattr(self.mass, name) for name in bounds},
                     "early_exit": self.prob_early_exit,
                 }
             if self.preflight is not None:
@@ -232,26 +249,24 @@ class JobManager:
 
     def submit(
         self,
-        jobs: List[FarmJob],
-        networks: Dict[str, str],
+        total: int,
+        build: Callable[[], RunPlan],
         max_workers: int = 1,
-        prebuilt: Optional[Dict[str, MplsNetwork]] = None,
         description: str = "",
-        preflight: Optional[Dict[int, tuple]] = None,
-        probabilities: Optional[List[float]] = None,
         prob_threshold: Optional[float] = None,
         client: Optional[str] = None,
     ) -> FarmRun:
-        """Register a sweep and start executing it in the background.
+        """Register a sweep of ``total`` jobs and return its run at once.
 
-        ``probabilities`` (index-aligned with ``jobs``, see
-        :func:`repro.farm.scenarios.probabilistic_scenarios`) turns the
-        run into a probabilistic sweep: the snapshot carries running
-        bounds on P(query holds), and with ``prob_threshold`` the run
-        self-cancels once the verdict is decided. ``client`` attributes
-        the run for per-client quotas.
+        The run's own thread calls ``build``, then runs the plan; until
+        then the run is ``pending``. A build that raises, or builds
+        other than ``total`` jobs, ends the run ``failed``; a run
+        cancelled while pending ends ``cancelled`` with no job run. A
+        probabilistic plan's snapshots carry bounds on P(query holds),
+        and with ``prob_threshold`` the run stops once the verdict is
+        decided. ``client`` attributes the run for per-client quotas.
         """
-        if not jobs:
+        if total < 1:
             raise FarmError("cannot submit an empty job list")
         if self.store is not None:
             # Pid-qualified ids: every forked server worker counts from
@@ -261,16 +276,14 @@ class JobManager:
             run_id = f"job-{next(self._counter):04d}"
         run = FarmRun(
             run_id,
-            jobs,
+            total,
             description=description,
-            preflight=preflight,
-            probabilities=probabilities,
             prob_threshold=prob_threshold,
             client=client,
         )
         thread = threading.Thread(
             target=self._execute,
-            args=(run, networks, max_workers, prebuilt),
+            args=(run, build, max_workers),
             name=f"farm-{run_id}",
             daemon=True,
         )
@@ -278,13 +291,11 @@ class JobManager:
             self._runs[run_id] = run
             self._threads[run_id] = thread
             self._evict_finished()
-        run.state = RUNNING
         # The snapshot makes the run visible on sibling workers' /jobs
         # endpoints immediately.
         self._publish(run, force=True)
-        if obs.enabled():
-            obs.add("farm.runs_submitted")
-            obs.add("farm.jobs_submitted", len(jobs))
+        obs.add("farm.runs_submitted")
+        obs.add("farm.jobs_submitted", total)
         thread.start()
         return run
 
@@ -299,7 +310,7 @@ class JobManager:
         try:
             self.store.publish_job(run.id, run.snapshot(include_items=True))
         except OSError:  # store directory vanished; progress goes on
-            pass
+            obs.add("farm.publishes_dropped")
 
     def _cancelled(self, run: FarmRun) -> bool:
         """The pool's cancellation probe: local cancel OR a sibling
@@ -312,39 +323,35 @@ class JobManager:
         return False
 
     def _execute(
-        self,
-        run: FarmRun,
-        networks: Dict[str, str],
-        max_workers: int,
-        prebuilt: Optional[Dict[str, MplsNetwork]],
+        self, run: FarmRun, build: Callable[[], RunPlan], max_workers: int
     ) -> None:
         def progress(index: int, _total: int, item: BatchItem) -> None:
             run._record(index, item)
             self._publish(run)
 
+        error: Optional[str] = None
         try:
-            run_jobs(
-                run.jobs,
-                networks,
-                max_workers=max_workers,
-                progress=progress,
-                cancelled=lambda: self._cancelled(run),
-                prebuilt=prebuilt,
-            )
-        except Exception as error:  # defensive: run_jobs shouldn't raise
-            run._finish(
-                FAILED,
-                error=str(error),
-                publish=lambda: self._publish(run, force=True),
-            )
-            return
-        # A probabilistic early exit is a *successful* completion — the
-        # verdict is decided — not a user cancellation.
-        cancelled = run._cancel.is_set() and not run.prob_early_exit
-        state = CANCELLED if cancelled else DONE
-        run._finish(state, publish=lambda: self._publish(run, force=True))
-        if obs.enabled():
-            obs.add(f"farm.runs_{state}")
+            plan = build()
+            if not self._cancelled(run):
+                run._start(plan)
+                self._publish(run, force=True)
+                run_jobs(
+                    plan.jobs,
+                    plan.networks,
+                    max_workers=max_workers,
+                    progress=progress,
+                    cancelled=lambda: self._cancelled(run),
+                    prebuilt=plan.prebuilt,
+                )
+        except Exception as failure:  # a failed build or pool fails the run
+            state, error = FAILED, str(failure)
+        else:
+            # A probabilistic early exit is a *successful* completion —
+            # the verdict is decided — not a user cancellation.
+            cancelled = run._cancel.is_set() and not run.prob_early_exit
+            state = CANCELLED if cancelled else DONE
+        obs.add(f"farm.runs_{state}")  # counted before any waiter wakes
+        run._finish(state, error, publish=lambda: self._publish(run, force=True))
 
     def _evict_finished(self) -> None:
         # Called under self._lock: drop the oldest finished runs beyond

@@ -60,6 +60,23 @@ class EngineConfig:
         check_settings(self.backend, self.weight, self.triage)
 
     @classmethod
+    def from_names(
+        cls,
+        engine: str = "dual",
+        weight: Optional[str] = None,
+        triage: str = "off",
+        use_reductions: bool = True,
+    ) -> "EngineConfig":
+        """The settings a front end's engine name (one of
+        :data:`~repro.verification.engine.ENGINE_NAMES`) selects."""
+        return cls(
+            backend="poststar" if engine == "dual" else engine,
+            use_reductions=use_reductions,
+            weight=weight,
+            triage=triage,
+        )
+
+    @classmethod
     def from_engine(cls, engine: VerificationEngine) -> "EngineConfig":
         """Capture an engine's settings; raises :class:`FarmError` when
         the engine carries state that cannot cross a process boundary.

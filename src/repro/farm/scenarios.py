@@ -33,7 +33,7 @@ from repro.errors import FarmError
 from repro.model.network import MplsNetwork
 from repro.model.srlg import degrade_network
 from repro.query.ast import Query
-from repro.query.parser import parse_query
+from repro.query.parser import named_queries, parse_query
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from repro.analysis.diagnostics import Diagnostic
@@ -167,12 +167,7 @@ def preflight_index(
 def _named_queries(queries: QueriesArg) -> List[Tuple[str, str]]:
     if isinstance(queries, str):
         return [("query", queries)]
-    named: List[Tuple[str, str]] = []
-    for entry in queries:
-        if isinstance(entry, str):
-            named.append((f"q{len(named):04d}", entry))
-        else:
-            named.append((entry[0], entry[1]))
+    named = named_queries(queries)
     if not named:
         raise FarmError("a scenario sweep needs at least one query")
     return named
@@ -200,25 +195,18 @@ def sweep_size(
     return combos * query_count
 
 
-def failure_scenarios(
+def plan_failure_sweep(
     network: MplsNetwork,
     queries: QueriesArg,
     max_failures: int = 1,
     links: Optional[Sequence[str]] = None,
     include_baseline: bool = True,
     limit: Optional[int] = 10_000,
-    preflight: bool = False,
-) -> List[Scenario]:
-    """All ≤ ``max_failures`` link-failure combinations × queries.
-
-    ``links`` restricts the failure candidates (default: every link);
-    ``limit`` guards against combinatorial blow-up — the sweep size is
-    computed up front and a :class:`FarmError` names the excess instead
-    of silently truncating. ``include_baseline`` adds the zero-failure
-    scenario so a sweep also certifies the intact network. With
-    ``preflight=True`` each degraded variant is statically linted
-    (:func:`repro.analysis.analyze`) and the findings are attached to
-    its scenarios.
+) -> Tuple[List[Tuple[str, str]], List[str], int]:
+    """Check a failure sweep before building it; returns the named
+    queries with their failure bound pinned to 0, the links that may
+    fail, and the job count. A sweep over ``limit`` jobs is a
+    :class:`FarmError` that names its size, not a silent truncation.
     """
     named = _named_queries(queries)
     if max_failures < 0:
@@ -240,21 +228,46 @@ def failure_scenarios(
             f"failure sweep would generate {total} jobs (> limit {limit}); "
             "restrict the links, lower max_failures, or raise the limit"
         )
+    return [(name, _pin_failures(text)) for name, text in named], candidates, total
 
-    pinned = [(name, _pin_failures(text)) for name, text in named]
-    by_name = {link.name: link for link in network.topology.links}
+
+def _variant(network: MplsNetwork, combo: Tuple[str, ...]) -> Tuple[str, MplsNetwork]:
+    """The scenario tag and the network with the links ``combo`` failed."""
+    if not combo:
+        return "baseline", network
+    tag = f"fail({'+'.join(combo)})"
+    failed = {network.topology.link(name) for name in combo}
+    return tag, degrade_network(network, failed, name=f"{network.name}@{tag}")
+
+
+def failure_scenarios(
+    network: MplsNetwork,
+    queries: QueriesArg,
+    max_failures: int = 1,
+    links: Optional[Sequence[str]] = None,
+    include_baseline: bool = True,
+    limit: Optional[int] = 10_000,
+    preflight: bool = False,
+) -> List[Scenario]:
+    """All ≤ ``max_failures`` link-failure combinations × queries.
+
+    ``links`` restricts the failure candidates (default: every link);
+    ``limit`` guards against combinatorial blow-up (the checks are
+    :func:`plan_failure_sweep`'s). ``include_baseline`` adds the
+    zero-failure scenario so a sweep also certifies the intact network.
+    With ``preflight=True`` each degraded variant is statically linted
+    (:func:`repro.analysis.analyze`) and the findings are attached to
+    its scenarios.
+    """
+    pinned, candidates, _total = plan_failure_sweep(
+        network, queries, max_failures, links, include_baseline, limit
+    )
+    combos: List[Tuple[str, ...]] = [()] if include_baseline else []
+    for size in range(1, max_failures + 1):
+        combos.extend(itertools.combinations(candidates, size))
     scenarios: List[Scenario] = []
-
-    def add_combo(combo: Tuple[str, ...]) -> None:
-        if combo:
-            failed = {by_name[name] for name in combo}
-            tag = f"fail({'+'.join(combo)})"
-            variant = degrade_network(
-                network, failed, name=f"{network.name}@{tag}"
-            )
-        else:
-            tag = "baseline"
-            variant = network
+    for combo in combos:
+        tag, variant = _variant(network, combo)
         for query_name, query_text in pinned:
             scenarios.append(
                 Scenario(
@@ -264,12 +277,6 @@ def failure_scenarios(
                     failed_links=combo,
                 )
             )
-
-    if include_baseline:
-        add_combo(())
-    for size in range(1, max_failures + 1):
-        for combo in itertools.combinations(candidates, size):
-            add_combo(combo)
     return preflight_scenarios(scenarios) if preflight else scenarios
 
 
@@ -310,7 +317,6 @@ def probabilistic_scenarios(
     :meth:`repro.farm.jobs.JobManager.submit` consume.
     """
     pinned = _pin_failures(query)
-    by_name = {link.name: link for link in network.topology.links}
     index_of: Dict[frozenset, int] = {}
     scenarios: List[Scenario] = []
     masses: List[float] = []
@@ -321,13 +327,7 @@ def probabilistic_scenarios(
             masses[existing] += outcome.probability
             continue
         combo = tuple(sorted(key))
-        if combo:
-            failed = {by_name[name] for name in combo}
-            tag = f"fail({'+'.join(combo)})"
-            variant = degrade_network(network, failed, name=f"{network.name}@{tag}")
-        else:
-            tag = "baseline"
-            variant = network
+        tag, variant = _variant(network, combo)
         index_of[key] = len(scenarios)
         scenarios.append(
             Scenario(

@@ -22,7 +22,7 @@ traffic-engineering group, exactly like the table of Figure 1b.
 from __future__ import annotations
 
 import json
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Tuple
 
 from repro.errors import FormatError
 from repro.model.builder import NetworkBuilder
@@ -82,21 +82,49 @@ def network_to_json(network: MplsNetwork) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
+def _entries(
+    payload: Dict[str, Any], section: str, kind: type, texts: Tuple[str, ...] = ()
+) -> List[Any]:
+    """The list under ``section`` (empty when absent); a section that is
+    not a list, an entry that is not a ``kind``, or an entry field named
+    in ``texts`` that is not text is a :class:`FormatError`."""
+    entries = payload.get(section, [])
+    if not isinstance(entries, list):
+        raise FormatError(f"network JSON section {section!r} must be a list")
+    for entry in entries:
+        if not isinstance(entry, kind) or any(
+            not isinstance(entry[name], str) for name in texts if name in entry
+        ):
+            raise FormatError(
+                f"malformed entry in network JSON section {section!r}: "
+                f"{json.dumps(entry)[:60]}"
+            )
+    return entries
+
+
 def network_from_json(text: str) -> MplsNetwork:
-    """Parse the JSON format into a network."""
+    """Parse the JSON format into a network.
+
+    A missing section, or a section, entry or field of the wrong JSON
+    type, is a :class:`FormatError`.
+    """
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as error:
         raise FormatError(f"malformed network JSON: {error}") from error
+    if not isinstance(payload, dict):
+        raise FormatError("network JSON must be an object")
     for section in ("name", "routers", "links", "routing"):
         if section not in payload:
             raise FormatError(f"network JSON lacks the {section!r} section")
+    if not isinstance(payload["name"], str):
+        raise FormatError("network JSON 'name' must be text")
     builder = NetworkBuilder(payload["name"])
-    for router in payload["routers"]:
+    for router in _entries(payload, "routers", dict, ("name",)):
         if "name" not in router:
             raise FormatError("router entry without a name")
         builder.router(router["name"], router.get("lat"), router.get("lng"))
-    for link in payload["links"]:
+    for link in _entries(payload, "links", dict, ("name", "from", "to")):
         raw_probability = link.get("failure_probability")
         if raw_probability is not None:
             if isinstance(raw_probability, bool) or not isinstance(
@@ -108,20 +136,29 @@ def network_from_json(text: str) -> MplsNetwork:
                 )
             raw_probability = float(raw_probability)
         try:
+            weight = int(link.get("weight", 1))
+        except (TypeError, ValueError):
+            raise FormatError(
+                f"link {link.get('name')!r}: weight {link.get('weight')!r} "
+                "is not an integer"
+            ) from None
+        try:
             builder.link(
                 link["name"],
                 link["from"],
                 link["to"],
                 source_interface=link.get("from_interface"),
                 target_interface=link.get("to_interface"),
-                weight=int(link.get("weight", 1)),
+                weight=weight,
                 failure_probability=raw_probability,
             )
         except KeyError as error:
             raise FormatError(f"link entry lacks {error}") from None
-    for label_text in payload.get("labels", ()):
+    for label_text in _entries(payload, "labels", str):
         builder.label(label_text)
-    for rule in payload["routing"]:
+    for rule in _entries(
+        payload, "routing", dict, ("in_link", "label", "out_link")
+    ):
         try:
             priority = int(rule.get("priority", 1))
         except (TypeError, ValueError):
@@ -130,12 +167,17 @@ def network_from_json(text: str) -> MplsNetwork:
                 f"{rule.get('label')}): priority "
                 f"{rule.get('priority')!r} is not an integer"
             ) from None
+        ops = rule.get("ops", [])
+        if not isinstance(ops, list) or not all(isinstance(op, str) for op in ops):
+            raise FormatError(
+                f"routing entry {json.dumps(rule)[:60]}: ops must be a list of strings"
+            )
         try:
             builder.rule(
                 rule["in_link"],
                 rule["label"],
                 rule["out_link"],
-                " ∘ ".join(rule.get("ops", [])),
+                " ∘ ".join(ops),
                 priority=priority,
             )
         except KeyError as error:
@@ -155,9 +197,9 @@ def read_network_json(path: str) -> MplsNetwork:
         return network_from_json(handle.read())
 
 
-def trace_to_json(trace: Trace) -> str:
-    """Serialize a witness trace (the GUI's visualization payload)."""
-    steps = [
+def trace_steps(trace: Trace) -> List[Dict[str, Any]]:
+    """A witness trace as the JSON step list the GUI renders."""
+    return [
         {
             "link": step.link.name,
             "from": step.link.source.name,
@@ -166,4 +208,8 @@ def trace_to_json(trace: Trace) -> str:
         }
         for step in trace
     ]
-    return json.dumps({"trace": steps}, indent=2) + "\n"
+
+
+def trace_to_json(trace: Trace) -> str:
+    """Serialize a witness trace (the GUI's visualization payload)."""
+    return json.dumps({"trace": trace_steps(trace)}, indent=2) + "\n"

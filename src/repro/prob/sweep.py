@@ -17,8 +17,9 @@ probability parameters:
 
 The result carries the bounds, the most likely witness trace (from the
 most probable scenario where the query held) and the most likely
-counterexample scenario (the most probable way it broke). Steps 1–3
-are :func:`plan_sweep`, which the server's ``POST /jobs`` shares.
+counterexample scenario (the most probable way it broke). Steps 1–2,
+with the checks of the sweep's parameters, are :func:`plan_sweep`,
+which the server's ``POST /jobs`` shares.
 """
 
 from __future__ import annotations
@@ -35,10 +36,10 @@ from repro.model.trace import Trace
 from repro.prob.enumerate import FailureScenario, best_first_scenarios
 from repro.prob.mass import MassTracker, ProbVerdict
 from repro.prob.model import FailureModel
+from repro.query.parser import parse_query
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only imports
     from repro.farm.pool import EngineConfig
-    from repro.farm.scenarios import Scenario
 
 
 @dataclass
@@ -104,21 +105,17 @@ def plan_sweep(
     links: Optional[Sequence[str]] = None,
     max_scenarios: int = 512,
     residual_target: float = 1e-9,
-    query_name: str = "query",
-) -> Tuple[List[FailureScenario], List["Scenario"], List[float]]:
+) -> List[FailureScenario]:
     """Check a probabilistic sweep's parameters and enumerate its scenarios.
 
-    Builds the failure model, enumerates scenarios best-first until
-    ``max_scenarios`` or a residual mass of ``residual_target``, and
-    lowers them to farm scenarios. Returns ``(enumerated, scenarios,
-    masses)``: the failure scenarios in probability order, and the
-    index-aligned farm scenarios and masses that
-    :meth:`repro.farm.jobs.JobManager.submit` takes. Raises
-    :class:`ProbError` on a threshold outside [0, 1] or a non-positive
-    scenario budget.
+    Builds the failure model and enumerates scenarios best-first until
+    ``max_scenarios`` or a residual mass of ``residual_target``; returns
+    them in probability order, for
+    :func:`repro.farm.scenarios.probabilistic_scenarios` to lower. Raises
+    on a query that does not parse, and :class:`ProbError` on a
+    threshold outside [0, 1] or a non-positive scenario budget.
     """
-    from repro.farm.scenarios import probabilistic_scenarios
-
+    parse_query(query)
     if threshold is not None and not (0.0 <= threshold <= 1.0):
         raise ProbError(f"probability threshold {threshold!r} out of range [0, 1]")
     if max_scenarios < 1:
@@ -139,10 +136,7 @@ def plan_sweep(
         if 1.0 - mass_seen <= residual_target:
             break
     obs.add("prob.scenarios_enumerated", len(enumerated))
-    scenarios, masses = probabilistic_scenarios(
-        network, query, enumerated, query_name=query_name
-    )
-    return enumerated, scenarios, masses
+    return enumerated
 
 
 def run_probabilistic_sweep(
@@ -168,9 +162,9 @@ def run_probabilistic_sweep(
     early exit then cancels the not-yet-dispatched jobs.
     """
     from repro.farm.pool import run_jobs
-    from repro.farm.scenarios import scenarios_to_jobs
+    from repro.farm.scenarios import probabilistic_scenarios, scenarios_to_jobs
 
-    enumerated, farm_scenarios, masses = plan_sweep(
+    enumerated = plan_sweep(
         network,
         query,
         threshold=threshold,
@@ -181,6 +175,7 @@ def run_probabilistic_sweep(
         max_scenarios=max_scenarios,
         residual_target=residual_target,
     )
+    farm_scenarios, masses = probabilistic_scenarios(network, query, enumerated)
     jobs, payloads, prebuilt = scenarios_to_jobs(farm_scenarios, config, timeout)
 
     tracker = MassTracker(threshold=threshold)

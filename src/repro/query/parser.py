@@ -26,7 +26,7 @@ is a wildcard.
 from __future__ import annotations
 
 import string
-from typing import List, Optional
+from typing import Any, Iterable, List, Optional, Tuple
 
 from repro.errors import QuerySyntaxError
 from repro.query.ast import Epsilon, Leaf, Option, Plus, Query, Regex, Repeat, Star, concat, union
@@ -304,3 +304,19 @@ _DEFAULT_PARSER = QueryParser()
 def parse_query(text: str) -> Query:
     """Parse a query string with the default parser."""
     return _DEFAULT_PARSER.parse(text)
+
+
+def named_queries(entries: Iterable[Any]) -> List[Tuple[str, str]]:
+    """``(name, text)`` pairs of query entries: texts, ``(name, text)``
+    pairs or ``{"name", "text"}`` objects. An entry without a name is
+    named ``q0000``, ``q0001``, … by its position."""
+    named: List[Tuple[str, str]] = []
+    for index, entry in enumerate(entries):
+        default = f"q{index:04d}"
+        if isinstance(entry, str):
+            named.append((default, entry))
+        elif isinstance(entry, dict):
+            named.append((str(entry.get("name", default)), entry["text"]))
+        else:
+            named.append((entry[0], entry[1]))
+    return named

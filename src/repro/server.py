@@ -11,44 +11,51 @@ backend as a small stdlib-only JSON-over-HTTP service; any front end
   format;
 * ``GET  /queries/example`` — the φ0–φ4 demo queries of Figure 1;
 * ``POST /verify`` — body ``{"network": <name or inline JSON network>,
-  "query": "...", "weight": "...?", "engine": "dual|moped"?,
-  "triage": "auto|off|only"?, "timeout": seconds?}``; responds with
-  the verdict, the witness trace (steps + headers), the failure set,
-  the minimal weight, and a Graphviz DOT visualization — everything
-  the GUI renders. With ``"triage"`` the static triage tier
+  "query": "...", "engine": "dual|moped|poststar|prestar"?, "weight":
+  "..."?, "triage": "auto|off|only"?, "timeout": seconds?}``; responds
+  with the verdict, the witness trace (steps + headers), the failure
+  set, the minimal weight, and a Graphviz DOT visualization —
+  everything the GUI renders. With ``"triage"`` the static triage tier
   (:mod:`repro.analysis.triage`) runs first and the response carries a
   ``"triage"`` block with its verdict and time. With
   ``"prob_threshold": p`` (or ``"sweep_prob": true``) the request
   becomes a probabilistic sweep (:mod:`repro.prob`): the response
   carries the verdict for "holds with probability ≥ p", the
   ``[lower, upper]`` bounds on P(query holds), and the most likely
-  witness/counterexample with their probabilities
-  (``prob_default`` / ``prob_limit`` tune the failure model and the
-  scenario budget);
-* ``POST /lint`` — body ``{"network": <name or inline JSON network>,
-  "failed_links": [...]?, "rules": [...]?, "suppress": [...]?,
-  "min_severity": "info|warning|error"?, "queries": [...]?}``;
-  statically lints the routing tables (:mod:`repro.analysis` — no
-  pushdown system is built) and responds with the full diagnostic
-  report. ``queries`` takes the same list as ``/jobs`` and feeds the
-  query-aware rules.
+  witness/counterexample with their probabilities (``"prob_default"``
+  and ``"prob_limit"`` set the failure model's default link
+  probability and the scenario budget);
+* ``POST /lint`` — body ``{"network": ..., "failed_links": [...]?,
+  "rules": [...]?, "suppress": [...]?, "min_severity":
+  "info|warning|error"?, "queries": [...]?}``; statically lints the
+  routing tables (:mod:`repro.analysis` — no pushdown system is built)
+  and responds with the full diagnostic report. ``"queries"`` takes
+  the same list as ``/jobs`` and feeds the query-aware rules.
 
 The asynchronous **job API** runs whole what-if sweeps on the
 verification farm (:mod:`repro.farm`) without holding a connection
 open:
 
 * ``POST /jobs`` — body ``{"network": ..., "queries": [...] or
-  "query": "...", "sweep_failures": K?, "jobs": N?, "engine": ...?,
-  "weight": ...?, "triage": ...?, "timeout": seconds?}``; returns ``{"id": ...}``
-  immediately while the sweep runs in the background. A single query
-  plus ``prob_threshold`` / ``sweep_prob`` submits a probabilistic
-  sweep instead; its snapshots carry a ``"prob"`` block with the live
-  probability bounds and the run self-cancels once the threshold
+  "query": "...", "sweep_failures": K?, "sweep_links": [...]?,
+  "sweep_limit": J?, "jobs": N?, "preflight": true?}`` plus the
+  engine and probability fields of ``/verify``; ``"queries"`` entries
+  are query strings or ``{"name", "text"}`` objects. It checks the body
+  and sizes the sweep, answers 202 ``{"id", "state": "pending",
+  "total"}``, and builds and runs the sweep in the background. A single
+  query plus ``"prob_threshold"`` / ``"sweep_prob"`` submits a
+  probabilistic sweep; its snapshots carry a ``"prob"`` block with the
+  live probability bounds, and the run stops once the threshold
   verdict is decided;
 * ``GET /jobs`` / ``GET /jobs/<id>`` — live progress counts, partial
   §4.2-style summary, and per-scenario outcomes;
 * ``DELETE /jobs/<id>`` — cancel (running scenarios finish, queued
   ones are dropped).
+
+Request bodies are read through one schema, :data:`FIELDS`: a field of
+the wrong JSON type, or outside its bounds or choices, is a 400 that
+names the field (a bool is never a number, and a flag is ``true`` or
+``false``); keys the schema does not name are ignored.
 
 Observability: ``GET /metrics`` serves the :mod:`repro.obs` registry,
 and nothing else, in the Prometheus text exposition format: solver,
@@ -70,18 +77,21 @@ from __future__ import annotations
 import json
 import threading
 from collections import OrderedDict
+from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 from repro import obs
+from repro.analysis.diagnostics import Severity
 from repro.datasets.builtins import BUILTIN_NETWORKS, load_builtin
 from repro.errors import NotFoundError, ReproError
 from repro.farm.jobs import JobManager
 from repro.farm.pool import EngineConfig
 from repro.farm.store import hash_text
-from repro.io.json_format import network_from_json, network_to_json
+from repro.io.json_format import network_from_json, network_to_json, trace_steps
 from repro.model.network import MplsNetwork
 from repro.model.quantities import DEFAULT_FAILURE_PROBABILITY
+from repro.query.parser import named_queries
 from repro.service.core import MAX_BODY_BYTES as MAX_BODY_BYTES  # re-export
 from repro.service.core import (
     ServiceCore,
@@ -92,7 +102,7 @@ from repro.service.core import (
     read_body,
 )
 from repro.service.ratelimit import RateLimitConfig, RateLimiter
-from repro.verification.engine import VerificationEngine
+from repro.verification.engine import ENGINE_NAMES, TRIAGE_MODES, VerificationEngine
 from repro.viz import result_to_dot
 
 #: Upper bound on the per-sweep worker count a request may ask for.
@@ -162,145 +172,153 @@ class _NetworkCache:
             return engine
 
 
-def _resolve_network(field: Any, cache: _NetworkCache) -> MplsNetwork:
-    """A built-in name or an inline network object → built network."""
-    if isinstance(field, str):
-        return cache.get(field)
-    if isinstance(field, dict):
-        return network_from_json(json.dumps(field))
-    raise ReproError("'network' must be a built-in name or a network object")
+#: The JSON types of request fields: name → (description, Python type).
+#: A bool is never a number, and a list's entries are checked too.
+_KINDS: Dict[str, Tuple[str, Any]] = {
+    "text": ("text", str),
+    "number": ("a number", (int, float)),
+    "integer": ("an integer", int),
+    "boolean": ("a boolean", bool),
+    "texts": ("a list of strings", list),
+    "queries": ("a list of query strings or {name, text} objects", list),
+    "network": ("a built-in name or a network object", (str, dict)),
+}
 
 
-def _resolve_network_keyed(
-    field: Any, cache: _NetworkCache
-) -> Tuple[MplsNetwork, str]:
-    """Like :func:`_resolve_network` but also the network's content key.
+def _entry_ok(kind: str, entry: Any) -> bool:
+    if kind == "queries" and isinstance(entry, dict):
+        return isinstance(entry.get("text"), str)
+    return isinstance(entry, str)
 
-    The key feeds the server's engine table and the shared artifact
-    store. Built-ins hash their canonical JSON (memoized); inline
-    networks hash the request's own JSON — cheaper than re-serializing
-    the built network and just as content-stable for identical requests.
-    """
+
+@dataclass(frozen=True)
+class Field:
+    """One request-body field: its JSON type (a key of :data:`_KINDS`),
+    its value when absent, whether ``null`` is a value (meaning "not
+    set"), and its lower bound or its choices."""
+
+    name: str
+    kind: str
+    default: Any = None
+    nullable: bool = False
+    minimum: Optional[int] = None
+    choices: Tuple[str, ...] = ()
+
+    def admits(self, value: Any) -> bool:
+        """Is ``value`` one this field takes?"""
+        if value is None:
+            return self.nullable
+        kind = _KINDS[self.kind][1]
+        if not isinstance(value, kind) or isinstance(value, bool) != (kind is bool):
+            return False
+        if isinstance(value, list):
+            return all(_entry_ok(self.kind, entry) for entry in value)
+        return (not self.choices or value in self.choices) and (
+            self.minimum is None or value >= self.minimum
+        )
+
+    def describe(self) -> str:
+        """The values this field takes, in words."""
+        text = _KINDS[self.kind][0]
+        if self.choices:
+            text = "one of " + ", ".join(self.choices)
+        if self.minimum is not None:
+            text += f" ≥ {self.minimum}"
+        return text + " or null" if self.nullable else text
+
+
+_NETWORK = Field("network", "network", "example")
+_SEVERITIES = tuple(severity.value for severity in Severity)
+
+#: The engine and probabilistic-sweep fields of /verify and /jobs.
+_ENGINE = (
+    Field("engine", "text", "dual", choices=ENGINE_NAMES),
+    Field("weight", "text", nullable=True),
+    Field("triage", "text", "off", choices=TRIAGE_MODES),
+    Field("timeout", "number", nullable=True, minimum=0),
+    Field("prob_threshold", "number", nullable=True),
+    Field("sweep_prob", "boolean", False, nullable=True),
+    Field("prob_default", "number", DEFAULT_FAILURE_PROBABILITY),
+    Field("prob_limit", "integer", 512, minimum=1),
+)
+
+#: The request schema: every field each POST endpoint reads. Bodies are
+#: read through it alone (:func:`_read_fields`); keys it does not name
+#: are ignored.
+FIELDS: Dict[str, Tuple[Field, ...]] = {
+    "/verify": (_NETWORK, Field("query", "text"), *_ENGINE),
+    "/lint": (
+        _NETWORK,
+        Field("failed_links", "texts", nullable=True),
+        Field("rules", "texts", nullable=True),
+        Field("suppress", "texts", nullable=True),
+        Field("min_severity", "text", nullable=True, choices=_SEVERITIES),
+        Field("queries", "queries", nullable=True),
+    ),
+    "/jobs": (
+        _NETWORK,
+        Field("queries", "queries"),
+        Field("query", "text"),
+        Field("sweep_failures", "integer", nullable=True, minimum=0),
+        Field("sweep_links", "texts", nullable=True),
+        Field("sweep_limit", "integer", 10_000, nullable=True, minimum=1),
+        Field("jobs", "integer", 1, minimum=1),
+        Field("preflight", "boolean", False, nullable=True),
+        *_ENGINE,
+    ),
+}
+
+
+def _read_fields(endpoint: str, payload: Dict[str, Any]) -> Dict[str, Any]:
+    """``endpoint``'s fields of a request body, absent ones at their
+    default; a value its field does not admit is a :class:`ReproError`
+    (→ 400) that names the field."""
+    body: Dict[str, Any] = {}
+    for field in FIELDS[endpoint]:
+        value = payload.get(field.name, field.default)
+        if field.name in payload and not field.admits(value):
+            shown = json.dumps(value)[:40]
+            raise ReproError(f"{field.name} is {field.describe()}, not {shown}")
+        if field.kind == "number" and value is not None:
+            value = float(value)  # an integer-valued number reads as a float
+        body[field.name] = value
+    return body
+
+
+def _resolve_network(field: Any, cache: _NetworkCache) -> Tuple[MplsNetwork, str]:
+    """A built-in name or an inline network object → the built network
+    and its content key, which names it in the engine table and the
+    artifact store: built-ins hash their canonical JSON (memoized),
+    inline networks the request's own JSON, key-sorted."""
     if isinstance(field, str):
         return cache.get(field), cache.key_of(field)
-    if isinstance(field, dict):
-        text = json.dumps(field, sort_keys=True)
-        return network_from_json(json.dumps(field)), hash_text(text)
-    raise ReproError("'network' must be a built-in name or a network object")
-
-
-def _engine_config(payload: Dict[str, Any]) -> EngineConfig:
-    """The engine settings of a ``/verify`` or ``/jobs`` body.
-
-    ``EngineConfig`` rejects a weight or triage mode no engine accepts;
-    triage defaults to off, matching the CLI.
-    """
-    engine_name = payload.get("engine", "dual")
-    if engine_name not in ("dual", "moped", "poststar", "prestar"):
-        raise ReproError(f"unknown engine {engine_name!r}")
-    return EngineConfig(
-        backend="poststar" if engine_name == "dual" else engine_name,
-        weight=payload.get("weight"),
-        triage=payload.get("triage", "off"),
-    )
-
-
-def _query_field(payload: Dict[str, Any]) -> str:
-    """The ``"query"`` field, which must be text."""
-    if "query" not in payload:
-        raise ReproError("request needs a 'query' field")
-    query = payload["query"]
-    if not isinstance(query, str):
-        raise ReproError("'query' must be text")
-    return query
-
-
-def _number_field(payload: Dict[str, Any], name: str) -> Optional[float]:
-    """An optional numeric field (a bool is not a number)."""
-    value = payload.get(name)
-    if value is None:
-        return None
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ReproError(f"'{name}' must be a number")
-    return float(value)
-
-
-def _string_list_field(payload: Dict[str, Any], name: str) -> Optional[List[str]]:
-    """An optional list-of-strings field."""
-    value = payload.get(name)
-    if value is not None and (
-        not isinstance(value, list)
-        or not all(isinstance(item, str) for item in value)
-    ):
-        raise ReproError(f"'{name}' must be a list of strings")
-    return value
-
-
-def _trace_steps(trace: Any) -> List[Dict[str, Any]]:
-    """A witness trace as the JSON step list the GUI renders."""
-    return [
-        {
-            "link": step.link.name,
-            "from": step.link.source.name,
-            "to": step.link.target.name,
-            "header": [str(label) for label in step.header],
-        }
-        for step in trace
-    ]
-
-
-def _prob_requested(payload: Dict[str, Any]) -> bool:
-    """True when the body asks for a probabilistic sweep."""
-    return payload.get("prob_threshold") is not None or bool(
-        payload.get("sweep_prob")
-    )
-
-
-def _prob_params(
-    payload: Dict[str, Any]
-) -> Tuple[Optional[float], float, int]:
-    """Validated ``(threshold, default, limit)`` probability parameters."""
-    threshold = _number_field(payload, "prob_threshold")
-    default = payload.get("prob_default", DEFAULT_FAILURE_PROBABILITY)
-    if isinstance(default, bool) or not isinstance(default, (int, float)):
-        raise ReproError("'prob_default' must be a number")
-    limit = payload.get("prob_limit", 512)
-    if isinstance(limit, bool) or not isinstance(limit, int) or limit < 1:
-        raise ReproError("'prob_limit' must be a positive integer")
-    return threshold, float(default), limit
+    text = json.dumps(field, sort_keys=True)
+    return network_from_json(text), hash_text(text)
 
 
 def _prob_verify(
-    payload: Dict[str, Any],
-    network: MplsNetwork,
-    query: str,
-    config: EngineConfig,
-    timeout: Optional[float],
+    body: Dict[str, Any], network: MplsNetwork, config: EngineConfig
 ) -> Dict[str, Any]:
     """Handle a probabilistic /verify body; returns the response document."""
     from repro.prob import run_probabilistic_sweep
 
-    threshold, default, limit = _prob_params(payload)
     result = run_probabilistic_sweep(
         network,
-        query,
-        threshold=threshold,
-        default=default,
-        max_scenarios=limit,
+        body["query"],
+        threshold=body["prob_threshold"],
+        default=body["prob_default"],
+        max_scenarios=body["prob_limit"],
         config=config,
-        timeout=timeout,
+        timeout=body["timeout"],
     )
+    bounds = ("lower", "upper", "covered", "residual", "scenarios_enumerated")
     response: Dict[str, Any] = {
         "status": result.verdict.value,
-        "query": query,
+        "query": body["query"],
         "prob": {
             "threshold": result.threshold,
             "verdict": result.verdict.value,
-            "lower": result.lower,
-            "upper": result.upper,
-            "covered": result.covered,
-            "residual": result.residual,
-            "scenarios_enumerated": result.scenarios_enumerated,
+            **{name: getattr(result, name) for name in bounds},
             "scenarios_verified": result.scenarios_verified,
             "early_exit": result.early_exit,
         },
@@ -308,7 +326,7 @@ def _prob_verify(
     if result.most_likely_witness is not None:
         response["most_likely_witness"] = {
             "probability": result.most_likely_witness_probability,
-            "trace": _trace_steps(result.most_likely_witness),
+            "trace": trace_steps(result.most_likely_witness),
         }
     if result.most_likely_counterexample is not None:
         response["most_likely_counterexample"] = {
@@ -325,16 +343,15 @@ def _verify_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, 
     so repeated interactive verifications reuse the compile memo instead
     of rebuilding an engine per request.
     """
-    query = _query_field(payload)
-    timeout = _number_field(payload, "timeout")
-    network, network_key = _resolve_network_keyed(
-        payload.get("network", "example"), cache
-    )
-    config = _engine_config(payload)
-    if _prob_requested(payload):
-        return _prob_verify(payload, network, query, config, timeout)
+    body = _read_fields("/verify", payload)
+    if body["query"] is None:
+        raise ReproError("request needs a 'query' field")
+    network, network_key = _resolve_network(body["network"], cache)
+    config = EngineConfig.from_names(body["engine"], body["weight"], body["triage"])
+    if body["prob_threshold"] is not None or body["sweep_prob"]:
+        return _prob_verify(body, network, config)
     engine = cache.engine(network_key, config, network)
-    result = engine.verify(query, timeout_seconds=timeout)
+    result = engine.verify(body["query"], timeout_seconds=body["timeout"])
 
     response: Dict[str, Any] = {
         "status": result.status.value,
@@ -353,70 +370,28 @@ def _verify_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, 
     if result.witness_probability is not None:
         response["witness_probability"] = result.witness_probability
     if result.trace is not None:
-        response["trace"] = _trace_steps(result.trace)
+        response["trace"] = trace_steps(result.trace)
         response["failure_set"] = sorted(
             link.name for link in (result.failure_set or frozenset())
         )
     return response
 
 
-def _query_entries(entries: Any) -> List[Tuple[str, str]]:
-    """The ``(name, text)`` pairs of a ``"queries"`` field.
-
-    Each entry is a query string, named ``q0000``, ``q0001``, … by
-    position, or a ``{"name", "text"}`` object. ``None`` (an absent
-    field) means no queries; anything else but a list is invalid input.
-    """
-    if entries is None:
-        return []
-    if not isinstance(entries, list):
-        raise ReproError("'queries' must be a list")
-    queries: List[Tuple[str, str]] = []
-    for entry in entries:
-        if isinstance(entry, str):
-            queries.append((f"q{len(queries):04d}", entry))
-        elif isinstance(entry, dict) and isinstance(entry.get("text"), str):
-            queries.append(
-                (str(entry.get("name", f"q{len(queries):04d}")), entry["text"])
-            )
-        else:
-            raise ReproError(
-                "each query must be a string or a {'name', 'text'} object"
-            )
-    return queries
-
-
 def _lint_payload(payload: Dict[str, Any], cache: _NetworkCache) -> Dict[str, Any]:
-    """Handle one POST /lint request body; returns the lint report.
-
-    Body: ``{"network": <name or inline JSON network>, "failed_links":
-    [...]?, "rules": [...]?, "suppress": [...]?, "min_severity": ...?,
-    "queries": [...]?}``. ``queries`` (strings or ``{"name", "text"}``
-    objects) feeds the query-aware rules — DP007 flags statically
-    unsatisfiable queries.
-    """
+    """Handle one POST /lint request body; returns the lint report."""
     from repro.analysis import LintConfig, analyze
 
-    network = _resolve_network(payload.get("network", "example"), cache)
-    for key in ("failed_links", "rules", "suppress"):
-        _string_list_field(payload, key)
-    queries = _query_entries(payload.get("queries"))
-    try:
-        config = LintConfig.of(
-            enabled=payload.get("rules"),
-            suppressed=payload.get("suppress") or (),
-            min_severity=payload.get("min_severity"),
-        )
-    except ValueError:  # bad min_severity string
-        raise ReproError(
-            f"unknown min_severity {payload.get('min_severity')!r} "
-            "(use: info, warning, error)"
-        )
+    body = _read_fields("/lint", payload)
+    network, _key = _resolve_network(body["network"], cache)
     report = analyze(
         network,
-        failed_links=frozenset(payload.get("failed_links") or ()),
-        config=config,
-        queries=queries,
+        failed_links=frozenset(body["failed_links"] or ()),
+        config=LintConfig.of(
+            enabled=body["rules"],
+            suppressed=body["suppress"] or (),
+            min_severity=body["min_severity"],
+        ),
+        queries=named_queries(body["queries"] or []),
     )
     return report.to_dict()
 
@@ -427,33 +402,39 @@ def _submit_job(
     manager: JobManager,
     client: Optional[str] = None,
 ) -> Dict[str, Any]:
-    """Handle one POST /jobs body: build the sweep, start it, return the id."""
+    """Handle one POST /jobs body: check it and size the sweep, then
+    register a run that builds and runs the sweep on its own thread;
+    returns the run's id, state and total at once."""
+    from repro.farm.jobs import RunPlan
     from repro.farm.scenarios import (
         failure_scenarios,
+        plan_failure_sweep,
         preflight_index,
+        probabilistic_scenarios,
         scenarios_to_jobs,
         suite_scenarios,
     )
 
-    network = _resolve_network(payload.get("network", "example"), cache)
-
-    if "queries" in payload:
-        queries = _query_entries(payload["queries"])
+    body = _read_fields("/jobs", payload)
+    network, _key = _resolve_network(body["network"], cache)
+    if body["queries"] is not None:
+        queries = named_queries(body["queries"])
         if not queries:
             raise ReproError("'queries' must be a non-empty list")
-    elif "query" in payload:
-        queries = [("query", _query_field(payload))]
+    elif body["query"] is not None:
+        queries = [("query", body["query"])]
     else:
         raise ReproError("request needs a 'query' or 'queries' field")
-
-    config = _engine_config(payload)
-    timeout = _number_field(payload, "timeout")
-
-    preflight = bool(payload.get("preflight"))
-    sweep_failures = payload.get("sweep_failures")
-    probabilities: Optional[List[float]] = None
-    prob_threshold: Optional[float] = None
-    if _prob_requested(payload):
+    config = EngineConfig.from_names(body["engine"], body["weight"], body["triage"])
+    preflight = bool(body["preflight"])
+    sweep_failures = body["sweep_failures"]
+    sweep = dict(
+        max_failures=sweep_failures,
+        links=body["sweep_links"],
+        limit=body["sweep_limit"],
+    )
+    probabilistic = body["prob_threshold"] is not None or body["sweep_prob"]
+    if probabilistic:
         if sweep_failures is not None:
             raise ReproError(
                 "'sweep_failures' cannot be combined with a probabilistic sweep"
@@ -466,54 +447,45 @@ def _submit_job(
             raise ReproError("a probabilistic sweep takes exactly one query")
         from repro.prob.sweep import plan_sweep
 
-        prob_threshold, prob_default, prob_limit = _prob_params(payload)
-        name, text = queries[0]
-        _enumerated, scenarios, probabilities = plan_sweep(
+        enumerated = plan_sweep(
             network,
-            text,
-            threshold=prob_threshold,
-            default=prob_default,
-            max_scenarios=prob_limit,
-            query_name=name,
+            queries[0][1],
+            threshold=body["prob_threshold"],
+            default=body["prob_default"],
+            max_scenarios=body["prob_limit"],
         )
+        total = len({outcome.failed_links for outcome in enumerated})
         description = f"probabilistic sweep on {network.name}"
     elif sweep_failures is not None:
-        if not isinstance(sweep_failures, int) or sweep_failures < 0:
-            raise ReproError("'sweep_failures' must be a non-negative integer")
-        links = _string_list_field(payload, "sweep_links")
-        limit = payload.get("sweep_limit", 10_000)
-        if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int)
-        ):
-            raise ReproError("'sweep_limit' must be an integer or null")
-        scenarios = failure_scenarios(
-            network,
-            queries,
-            max_failures=sweep_failures,
-            links=links,
-            limit=limit,
-            preflight=preflight,
-        )
+        total = plan_failure_sweep(network, queries, **sweep)[2]
         description = f"failure sweep ≤{sweep_failures} on {network.name}"
     else:
-        scenarios = suite_scenarios(network, queries, preflight=preflight)
+        total = len(queries)
         description = f"query suite on {network.name}"
 
-    workers = payload.get("jobs", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ReproError("'jobs' must be a positive integer")
-    workers = min(workers, MAX_SWEEP_WORKERS)
+    def build() -> RunPlan:
+        masses = None
+        if probabilistic:
+            (name, text), = queries
+            built, masses = probabilistic_scenarios(
+                network, text, enumerated, query_name=name
+            )
+        elif sweep_failures is not None:
+            built = failure_scenarios(network, queries, preflight=preflight, **sweep)
+        else:
+            built = suite_scenarios(network, queries, preflight=preflight)
+        jobs, payloads, prebuilt = scenarios_to_jobs(
+            built, config, timeout=body["timeout"]
+        )
+        findings = preflight_index(built) if preflight else None
+        return RunPlan(jobs, payloads, prebuilt, findings, masses)
 
-    jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config, timeout=timeout)
     run = manager.submit(
-        jobs,
-        payloads,
-        max_workers=workers,
-        prebuilt=prebuilt,
+        total,
+        build,
+        max_workers=min(body["jobs"], MAX_SWEEP_WORKERS),
         description=description,
-        preflight=preflight_index(scenarios) if preflight else None,
-        probabilities=probabilities,
-        prob_threshold=prob_threshold,
+        prob_threshold=body["prob_threshold"],
         client=client,
     )
     return {"id": run.id, "state": run.state, "total": run.total}
@@ -569,14 +541,7 @@ class _Handler(BaseHTTPRequestHandler):
         )
         self._write_response(core.handle(request))
 
-    def do_GET(self) -> None:  # noqa: N802 (http.server naming)
-        self._dispatch()
-
-    def do_POST(self) -> None:  # noqa: N802
-        self._dispatch()
-
-    def do_DELETE(self) -> None:  # noqa: N802
-        self._dispatch()
+    do_GET = do_POST = do_DELETE = _dispatch  # http.server naming
 
 
 class VerificationServer:
@@ -586,20 +551,15 @@ class VerificationServer:
     :meth:`start`). The server runs on a daemon thread; use as a context
     manager in tests.
 
-    Production knobs (all default off so embedded/test use is
-    unchanged):
-
-    * ``store`` — path of a shared on-disk artifact store
-      (:class:`~repro.farm.store.SharedArtifactStore`); attaches it to
-      this process (and, via the environment, to farm pool workers) so
-      compiled artifacts and job snapshots are shared across worker
-      processes;
-    * ``rate_limit`` — a :class:`~repro.service.ratelimit.RateLimitConfig`
-      enabling per-client budgets;
-    * ``listen_socket`` — an already-bound, already-listening socket to
-      serve on instead of binding ``(host, port)``; this is how the
-      pre-fork workers of ``aalwines serve --workers N`` share one port
-      (:mod:`repro.service.prefork`).
+    Production knobs, all off by default: ``store`` attaches a shared
+    on-disk artifact store (:func:`~repro.farm.store.configure_store`)
+    to this process and its farm workers, so worker processes share
+    compiled artifacts and job snapshots; ``rate_limit`` (a
+    :class:`~repro.service.ratelimit.RateLimitConfig`) enables
+    per-client budgets; ``listen_socket`` serves an already-listening
+    socket instead of binding ``(host, port)``, which is how the
+    pre-fork workers of ``aalwines serve --workers N`` share one port
+    (:mod:`repro.service.prefork`).
     """
 
     def __init__(
@@ -615,11 +575,7 @@ class VerificationServer:
         if store is not None:
             from repro.farm.store import configure_store
 
-            store_obj = configure_store(store)
-        else:
-            from repro.farm.store import active_store
-
-            store_obj = active_store()
+            configure_store(store)
         if listen_socket is None:
             self._httpd = ThreadingHTTPServer((host, port), _Handler)
         else:
@@ -631,13 +587,8 @@ class VerificationServer:
             self._httpd.server_address = address[:2]
             self._httpd.server_name = str(address[0])
             self._httpd.server_port = int(address[1])
-        cache = _NetworkCache()
-        jobs = JobManager(store=store_obj)
-        limiter = RateLimiter(rate_limit) if rate_limit is not None else None
-        self._httpd.cache = cache  # type: ignore[attr-defined]
-        self._httpd.jobs = jobs  # type: ignore[attr-defined]
         self._httpd.core = ServiceCore(  # type: ignore[attr-defined]
-            cache=cache, jobs=jobs, limiter=limiter
+            limiter=RateLimiter(rate_limit) if rate_limit is not None else None
         )
         self._httpd.verbose = verbose  # type: ignore[attr-defined]
         self._thread: Optional[threading.Thread] = None
@@ -647,7 +598,7 @@ class VerificationServer:
     @property
     def jobs(self) -> JobManager:
         """The farm job manager behind the /jobs endpoints."""
-        return self._httpd.jobs  # type: ignore[attr-defined]
+        return self.core.jobs
 
     @property
     def core(self) -> ServiceCore:

@@ -9,14 +9,12 @@ stdlib ``http.server`` handler (:mod:`repro.server`) and the WSGI app
 * **routing** on the *parsed* request target: the raw target is split
   with :func:`urllib.parse.urlsplit` and the path component unquoted
   exactly once, so ``GET /jobs/<id>?include_items=0`` and URL-encoded
-  network names (``/networks/my%20net``) route correctly (previously
-  the handler matched on the raw ``self.path`` and such requests 404'd);
-* **the error ladder**, applied uniformly to every method — including
-  DELETE, which used to leak raw tracebacks: request-body problems →
-  400, :class:`~repro.errors.NotFoundError` → 404, other
-  :class:`~repro.errors.ReproError` (invalid input) → 400, timeouts →
-  408, rate limits → 429 with ``Retry-After``, anything else → a
-  defensive JSON 500;
+  network names (``/networks/my%20net``) route correctly;
+* **the error ladder**, applied uniformly to every method:
+  request-body problems → 400, :class:`~repro.errors.NotFoundError` →
+  404, other :class:`~repro.errors.ReproError` (invalid input) → 400,
+  timeouts → 408, rate limits → 429 with ``Retry-After``, anything
+  else → a defensive JSON 500;
 * **per-client rate limiting and quotas**
   (:mod:`repro.service.ratelimit`);
 * **SSE job-progress streaming** (``GET /jobs/<id>/stream``);
@@ -200,7 +198,8 @@ class ServiceCore:
 
     ``cache`` holds the built-in networks and the ``/verify`` engines (a
     :class:`repro.server._NetworkCache`; one is created when omitted),
-    ``jobs`` the :class:`~repro.farm.jobs.JobManager`. ``limiter``
+    ``jobs`` the :class:`~repro.farm.jobs.JobManager` (by default one on
+    the :func:`~repro.farm.store.active_store`). ``limiter``
     defaults to a no-op :class:`RateLimiter`; pass one built from
     :meth:`~repro.service.ratelimit.RateLimitConfig.production_defaults`
     (or CLI knobs) to enforce budgets.
@@ -220,8 +219,9 @@ class ServiceCore:
             cache = _NetworkCache()
         if jobs is None:
             from repro.farm.jobs import JobManager
+            from repro.farm.store import active_store
 
-            jobs = JobManager()
+            jobs = JobManager(store=active_store())
         self.cache = cache
         self.jobs = jobs
         self.limiter = limiter if limiter is not None else RateLimiter()
@@ -298,7 +298,10 @@ class ServiceCore:
                 return "jobs.one", self._job(rest, params)
             return "other", error_response(f"no such endpoint {path!r}", 404)
         if method == "POST":
-            server = self._server_module()
+            # Late import and attribute lookups: the payload handlers live
+            # in repro.server, and tests monkeypatch them there.
+            import repro.server as server
+
             if path == "/verify":
                 payload = parse_json_body(request.body)
                 return "verify", json_response(
@@ -323,14 +326,6 @@ class ServiceCore:
                 return "jobs.cancel", self._cancel_job(path[len("/jobs/") :])
             return "other", error_response(f"no such endpoint {path!r}", 404)
         raise NotFoundError(f"method {method} is not supported")
-
-    @staticmethod
-    def _server_module():
-        # Late import and late attribute lookup: the payload handlers
-        # live in repro.server (and tests monkeypatch them there).
-        import repro.server as server_module
-
-        return server_module
 
     # ------------------------------------------------------------------
     # admission control

@@ -33,6 +33,7 @@ from typing import (
 )
 
 from repro.errors import ReproError, VerificationTimeout
+from repro.query.parser import named_queries
 from repro.verification.engine import VerificationEngine
 from repro.verification.results import VerificationResult
 
@@ -225,12 +226,7 @@ class BatchVerifier:
 
         ``queries`` may be bare query strings or (name, query) pairs.
         """
-        named: List[Tuple[str, str]] = []
-        for entry in queries:
-            if isinstance(entry, str):
-                named.append((f"q{len(named):04d}", entry))
-            else:
-                named.append(entry)
+        named = named_queries(queries)
 
         diagnostics: Tuple["Diagnostic", ...] = ()
         if self.preflight:

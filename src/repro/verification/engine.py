@@ -60,6 +60,14 @@ from repro.verification.reconstruction import ReconstructedWitness, check_witnes
 from repro.verification.results import EngineStats, Status, VerificationResult
 
 
+#: The engines a user names (CLI ``--engine``, the server's ``"engine"``);
+#: ``dual`` is the AalWiNes engine, the ``poststar`` backend.
+ENGINE_NAMES = ("dual", "moped", "poststar", "prestar")
+
+#: The static triage modes (see :class:`VerificationEngine`).
+TRIAGE_MODES = ("auto", "off", "only")
+
+
 def check_settings(
     backend: str, weight: Union[WeightVector, str, None], triage: str
 ) -> Optional[WeightVector]:
@@ -68,9 +76,9 @@ def check_settings(
     Raises what building an engine from these settings would raise, so
     a farm sweep can reject them before it dispatches a single job.
     """
-    if triage not in ("auto", "off", "only"):
+    if triage not in TRIAGE_MODES:
         raise VerificationError(
-            f"unknown triage mode {triage!r} (expected auto, off or only)"
+            f"unknown triage mode {triage!r} (expected {', '.join(TRIAGE_MODES)})"
         )
     if isinstance(weight, str):
         weight = parse_weight_vector(weight)

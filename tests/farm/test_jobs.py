@@ -9,7 +9,7 @@ import pytest
 
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
 from repro.errors import FarmError
-from repro.farm.jobs import CANCELLED, DONE, RUNNING, JobManager
+from repro.farm.jobs import CANCELLED, DONE, FAILED, RUNNING, JobManager, RunPlan
 from repro.farm.pool import EngineConfig
 from repro.farm.store import SharedArtifactStore
 from repro.farm.scenarios import (
@@ -33,7 +33,14 @@ def manager():
 
 def _submit_suite(manager, network, queries, **kwargs):
     jobs, payloads, prebuilt = scenarios_to_jobs(suite_scenarios(network, queries))
-    return manager.submit(jobs, payloads, prebuilt=prebuilt, **kwargs)
+    return _submit(manager, jobs, payloads, prebuilt, **kwargs)
+
+
+def _submit(manager, jobs, payloads, prebuilt, **kwargs):
+    """Submit an already-built sweep."""
+    return manager.submit(
+        len(jobs), lambda: RunPlan(jobs, payloads, prebuilt), **kwargs
+    )
 
 
 class TestLifecycle:
@@ -61,7 +68,7 @@ class TestLifecycle:
             network, EXAMPLE_QUERIES[0][1], max_failures=1
         )
         jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
-        run = manager.submit(jobs, payloads, prebuilt=prebuilt, max_workers=2)
+        run = _submit(manager, jobs, payloads, prebuilt, max_workers=2)
         assert run.wait(timeout=120)
         assert run.state == DONE
         # e0 (the only entry) and e7 (the only exit) are fatal failures.
@@ -77,7 +84,7 @@ class TestLifecycle:
 
     def test_empty_submission_rejected(self, manager):
         with pytest.raises(FarmError):
-            manager.submit([], {})
+            manager.submit(0, lambda: RunPlan([], {}))
 
 
 class _SlowConfig(EngineConfig):
@@ -107,8 +114,8 @@ class TestCancellation:
     def test_cancel_skips_queued_jobs(self, manager, network):
         scenarios = suite_scenarios(network, list(EXAMPLE_QUERIES))
         jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, _SlowConfig())
-        run = manager.submit(jobs, payloads, prebuilt=prebuilt, max_workers=1)
-        run.cancel()  # lands during the stalled first build
+        run = _submit(manager, jobs, payloads, prebuilt, max_workers=1)
+        run.cancel()  # lands while pending or during the stalled first build
         assert run.wait(timeout=120)
         assert run.state == CANCELLED
         assert run.completed < run.total
@@ -116,7 +123,7 @@ class TestCancellation:
     def test_cancel_via_manager(self, manager, network):
         scenarios = suite_scenarios(network, list(EXAMPLE_QUERIES))
         jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, _SlowConfig())
-        run = manager.submit(jobs, payloads, prebuilt=prebuilt, max_workers=1)
+        run = _submit(manager, jobs, payloads, prebuilt, max_workers=1)
         assert manager.cancel(run.id) is run
         assert manager.cancel("missing") is None
         run.wait(timeout=120)
@@ -171,7 +178,11 @@ class TestStoreBackedManager:
         jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config)
         # max_workers=1 runs in-process: the first build waits on the
         # gate until the sibling's cancel marker is in the store.
-        run = owner.submit(jobs, payloads, prebuilt=prebuilt, max_workers=1)
+        run = _submit(owner, jobs, payloads, prebuilt, max_workers=1)
+        deadline = time.time() + 60
+        while sibling.snapshot_of(run.id)["state"] != RUNNING:  # past pending
+            assert time.time() < deadline, "the run never started"
+            time.sleep(0.01)
         document = sibling.request_cancel(run.id)
         config.gate.set()
         assert document == {"id": run.id, "state": RUNNING}
@@ -190,7 +201,7 @@ class TestStoreBackedManager:
         jobs, payloads, prebuilt = scenarios_to_jobs(
             scenarios, EngineConfig(triage="auto")
         )
-        run = owner.submit(jobs, payloads, prebuilt=prebuilt, max_workers=workers)
+        run = _submit(owner, jobs, payloads, prebuilt, max_workers=workers)
         assert run.wait(timeout=180)
         summary = run.snapshot()["summary"]
         assert run.state == DONE
@@ -222,3 +233,65 @@ def test_finished_runs_are_evicted(network):
     _submit_suite(manager, network, list(EXAMPLE_QUERIES[:1])).wait(timeout=120)
     assert len(manager.list()) <= 3
     manager.shutdown(timeout=10)
+
+
+class TestFailuresAreCounted:
+    """Failures the manager absorbs still show in the obs counters."""
+
+    def test_failed_run_ticks_runs_failed(self, manager, network, monkeypatch):
+        import repro.farm.jobs as jobs_module
+        from repro import obs
+
+        def exploding(*args, **kwargs):
+            raise RuntimeError("pool blew up")
+
+        monkeypatch.setattr(jobs_module, "run_jobs", exploding)
+        with obs.recording():
+            run = _submit_suite(manager, network, list(EXAMPLE_QUERIES[:1]))
+            assert run.wait(timeout=60)
+            assert run.state == FAILED
+            assert run.error == "pool blew up"
+            assert obs.counter("farm.runs_failed") == 1
+            assert obs.counter("farm.runs_done") == 0
+
+    def test_failed_build_ends_the_run_failed(self, manager):
+        from repro import obs
+
+        def build():
+            raise FarmError("no such variant")
+
+        with obs.recording():
+            run = manager.submit(3, build)
+            assert run.wait(timeout=60)
+            assert run.state == FAILED
+            assert run.error == "no such variant"
+            assert run.completed == 0
+            assert obs.counter("farm.runs_failed") == 1
+
+    def test_a_plan_of_another_size_fails_the_run(self, manager, network):
+        jobs, payloads, prebuilt = scenarios_to_jobs(
+            suite_scenarios(network, list(EXAMPLE_QUERIES[:2]))
+        )
+        run = manager.submit(3, lambda: RunPlan(jobs, payloads, prebuilt))
+        assert run.wait(timeout=60)
+        assert run.state == FAILED
+        assert "2 jobs" in run.error
+
+    def test_dropped_publish_is_counted(self, tmp_path, network, monkeypatch):
+        from repro import obs
+
+        store = SharedArtifactStore(str(tmp_path / "store"))
+
+        def vanished(run_id, snapshot):
+            raise OSError("store directory vanished")
+
+        monkeypatch.setattr(store, "publish_job", vanished)
+        manager = JobManager(store=store)
+        try:
+            with obs.recording():
+                run = _submit_suite(manager, network, list(EXAMPLE_QUERIES[:1]))
+                assert run.wait(timeout=60)
+                assert run.state == DONE  # progress goes on
+                assert obs.counter("farm.publishes_dropped") >= 2
+        finally:
+            manager.shutdown(timeout=10)

@@ -78,6 +78,38 @@ class TestEngineConfig:
         with pytest.raises(error):
             EngineConfig(**settings)
 
+    def test_from_names_maps_dual_to_poststar(self):
+        assert EngineConfig.from_names() == EngineConfig()
+        assert EngineConfig.from_names("dual").backend == "poststar"
+        for name in ("moped", "poststar", "prestar"):
+            assert EngineConfig.from_names(name).backend == name
+        config = EngineConfig.from_names(
+            "prestar", "hops", "auto", use_reductions=False
+        )
+        assert config == EngineConfig(
+            backend="prestar", use_reductions=False, weight="hops", triage="auto"
+        )
+
+    def test_front_ends_share_one_vocabulary(self):
+        """argparse choices and the server's schema are the engine
+        module's lists, and both front ends build the same config."""
+        from repro.cli import _engine_config, build_parser
+        from repro.server import FIELDS
+        from repro.verification.engine import ENGINE_NAMES, TRIAGE_MODES
+
+        parser = build_parser()
+        choices = {action.dest: action.choices for action in parser._actions}
+        assert tuple(choices["engine"]) == ENGINE_NAMES
+        assert tuple(choices["triage"]) == TRIAGE_MODES
+        for fields in (FIELDS["/verify"], FIELDS["/jobs"]):
+            by_name = {field.name: field for field in fields}
+            assert by_name["engine"].choices == ENGINE_NAMES
+            assert by_name["triage"].choices == TRIAGE_MODES
+        args = parser.parse_args(
+            ["--engine", "dual", "--weight", "hops", "--triage", "auto"]
+        )
+        assert _engine_config(args) == EngineConfig.from_names("dual", "hops", "auto")
+
 
 class TestExecuteJob:
     def test_runs_one_job_in_process(self, network, payloads):
@@ -290,7 +322,7 @@ class _MidSweepCrashConfig(EngineConfig):
 def test_worker_crash_mid_sweep_is_contained(network):
     """A worker killed mid-variant must surface as error items in the
     run snapshot, and the run must still finish."""
-    from repro.farm.jobs import JobManager
+    from repro.farm.jobs import JobManager, RunPlan
     from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
 
     scenarios = link_audit_scenarios(network, [("phi0", EXAMPLE_QUERIES[0][1])])
@@ -298,7 +330,9 @@ def test_worker_crash_mid_sweep_is_contained(network):
     jobs, payloads, prebuilt = scenarios_to_jobs(scenarios, config=crashing)
 
     manager = JobManager()
-    run = manager.submit(jobs, payloads, max_workers=2, prebuilt=prebuilt)
+    run = manager.submit(
+        len(jobs), lambda: RunPlan(jobs, payloads, prebuilt), max_workers=2
+    )
     assert run.wait(180)
     snapshot = run.snapshot()
     assert snapshot["state"] == "done"

@@ -8,7 +8,7 @@ the static defects of each degraded variant.
 import pytest
 
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
-from repro.farm.jobs import DONE, JobManager
+from repro.farm.jobs import DONE, JobManager, RunPlan
 from repro.farm.scenarios import (
     clear_preflight_memo,
     failure_scenarios,
@@ -102,10 +102,10 @@ class TestJobManagerPreflight:
             scenarios = suite_scenarios(network, [PHI0], preflight=True)
             jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
             run = manager.submit(
-                jobs,
-                payloads,
-                prebuilt=prebuilt,
-                preflight=preflight_index(scenarios),
+                len(jobs),
+                lambda: RunPlan(
+                    jobs, payloads, prebuilt, preflight=preflight_index(scenarios)
+                ),
             )
             assert run.wait(timeout=120)
             assert run.state == DONE
@@ -121,7 +121,9 @@ class TestJobManagerPreflight:
         try:
             scenarios = suite_scenarios(network, [PHI0])
             jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
-            run = manager.submit(jobs, payloads, prebuilt=prebuilt)
+            run = manager.submit(
+                len(jobs), lambda: RunPlan(jobs, payloads, prebuilt)
+            )
             assert run.wait(timeout=120)
             document = run.snapshot()
             assert "preflight" not in document

@@ -5,7 +5,7 @@ import pytest
 from repro import obs
 from repro.datasets.example import build_example_network
 from repro.errors import ProbError
-from repro.farm.jobs import JobManager
+from repro.farm.jobs import FarmRun, JobManager, RunPlan
 from repro.farm.pool import EngineConfig
 from repro.farm.scenarios import probabilistic_scenarios, scenarios_to_jobs
 from repro.model.srlg import SharedRiskGroups, degrade_network
@@ -174,10 +174,8 @@ class TestFarmIntegration:
         )
         manager = JobManager()
         run = manager.submit(
-            jobs,
-            payloads,
-            prebuilt=prebuilt,
-            probabilities=masses,
+            len(jobs),
+            lambda: RunPlan(jobs, payloads, prebuilt, probabilities=masses),
             prob_threshold=0.9,
         )
         assert run.wait(60)
@@ -198,8 +196,11 @@ class TestFarmIntegration:
         jobs, payloads, prebuilt = scenarios_to_jobs(
             scenarios, EngineConfig(), None
         )
-        manager = JobManager()
+        plan = RunPlan(jobs, payloads, prebuilt, probabilities=[0.5, 0.5])
         with pytest.raises(FarmError, match="align"):
-            manager.submit(
-                jobs, payloads, prebuilt=prebuilt, probabilities=[0.5, 0.5]
-            )
+            FarmRun("job-0001", len(jobs))._start(plan)
+        # Submitted, the misaligned plan ends its run failed, not running.
+        run = JobManager().submit(len(jobs), lambda: plan)
+        assert run.wait(60)
+        assert run.state == "failed"
+        assert "align" in run.error

@@ -1212,3 +1212,303 @@ def test_module_entry_point_is_aalwines_serve():
     )
     assert completed.returncode == 0, completed.stderr
     assert "--workers" in completed.stdout
+
+
+# ----------------------------------------------------------------------
+# The request schema: one table, read by one validator
+# ----------------------------------------------------------------------
+
+PHI0 = "<ip> [.#v0] .* [v3#.] <ip> 0"
+
+#: A body each endpoint accepts, which the schema cases break one field at a time.
+VALID_BODIES = {
+    "/verify": {"network": "example", "query": PHI0},
+    "/lint": {"network": "example"},
+    "/jobs": {"network": "example", "query": PHI0},
+}
+
+#: Values of the wrong JSON type for each field type.
+WRONG_TYPE = {
+    "text": [5, True],
+    "number": ["1", True],
+    "integer": [1.5, True, "1"],
+    "boolean": ["no", 1],
+    "texts": ["e5", [1]],
+    "queries": [PHI0, [5]],
+    "network": [5, ["example"]],
+}
+
+
+def _schema_cases():
+    from repro.server import FIELDS
+
+    cases = []
+    for endpoint, fields in FIELDS.items():
+        for field in fields:
+            values = list(WRONG_TYPE[field.kind])
+            if not field.nullable:
+                values.append(None)
+            if field.minimum is not None:
+                values.append(field.minimum - 1)
+                if field.kind == "number":
+                    values.append(-3)
+            if field.choices:
+                values.append("bogus")
+            for value in values:
+                cases.append(
+                    pytest.param(
+                        endpoint, field.name, value,
+                        id=f"{endpoint}-{field.name}-{json.dumps(value)}",
+                    )
+                )
+    return cases
+
+
+@pytest.fixture()
+def core():
+    """A service core of its own, so no other test's runs are listed."""
+    from repro.service.core import ServiceCore
+
+    instance = ServiceCore()
+    yield instance
+    instance.jobs.shutdown(timeout=30)
+
+
+def _post(core, path, body, client="client-1"):
+    from repro.service.core import ServiceRequest
+
+    response = core.handle(
+        ServiceRequest(
+            "POST", path, headers={"X-Client-Id": client},
+            body=json.dumps(body).encode("utf-8"),
+        )
+    )
+    return response.status, json.loads(response.body)
+
+
+def _get(core, path):
+    from repro.service.core import ServiceRequest
+
+    response = core.handle(ServiceRequest("GET", path))
+    return response.status, json.loads(response.body)
+
+
+class TestRequestSchema:
+    """Every field of every endpoint, from the table: a value of the
+    wrong JSON type, or outside the field's bounds or choices, is a 400
+    that names the field, before any run is registered."""
+
+    @pytest.mark.parametrize("endpoint, name, value", _schema_cases())
+    def test_wrong_value_is_a_400_naming_the_field(self, core, endpoint, name, value):
+        status, document = _post(
+            core, endpoint, dict(VALID_BODIES[endpoint], **{name: value})
+        )
+        assert status == 400, document
+        assert name in document["error"]
+        assert core.jobs.list() == []
+
+    @pytest.mark.parametrize(
+        "endpoint, extra",
+        [
+            ("/jobs", {"sweep_failures": True}),  # ran a 9-job k=1 sweep
+            ("/jobs", {"jobs": True}),  # ran one worker
+            ("/jobs", {"preflight": "no"}),  # turned preflight on
+            ("/jobs", {"sweep_prob": "no"}),  # ran a probabilistic sweep
+            ("/verify", {"sweep_prob": "no"}),  # answered "undecided"
+            ("/verify", {"timeout": -3}),  # answered 408
+            ("/jobs", {"jobs": 0}),
+            ("/verify", {"prob_limit": 0}),
+        ],
+    )
+    def test_values_that_used_to_run(self, core, endpoint, extra):
+        status, document = _post(core, endpoint, dict(VALID_BODIES[endpoint], **extra))
+        assert status == 400
+        (name,) = extra
+        assert name in document["error"]
+        assert core.jobs.list() == []
+
+    def test_the_valid_bodies_are_accepted(self, core):
+        for endpoint, body in VALID_BODIES.items():
+            status, document = _post(core, endpoint, body)
+            assert status in (200, 202), (endpoint, document)
+
+    def test_null_is_a_value_only_where_the_table_says(self, core):
+        status, _document = _post(
+            core, "/verify", dict(VALID_BODIES["/verify"], timeout=None, weight=None)
+        )
+        assert status == 200
+        status, document = _post(core, "/verify", dict(VALID_BODIES["/verify"], engine=None))
+        assert status == 400
+        assert "engine" in document["error"]
+
+    def test_docstring_names_every_field(self):
+        """Each endpoint's paragraph of the module docstring names every
+        field the table declares for it."""
+        import repro.server as server_module
+
+        doc = server_module.__doc__
+        for endpoint, fields in server_module.FIELDS.items():
+            start = doc.index(f"``POST {endpoint}``")
+            end = doc.find("\n* ``", start + 1)
+            section = doc[start:end if end > 0 else None]
+            if endpoint == "/jobs":  # "plus the engine and probability fields of /verify"
+                section += doc[doc.index("``POST /verify``"):]
+            for field in fields:
+                assert f'"{field.name}"' in section, (endpoint, field.name)
+
+
+class TestJobsAnswerBeforeBuilding:
+    """``POST /jobs`` checks the body and sizes the sweep in the request
+    thread, answers 202, and builds the variants in the run's thread."""
+
+    @pytest.fixture()
+    def gate(self, monkeypatch):
+        """Blocks every variant build until the test opens it (for at
+        most 5 s, so a server that builds before answering fails the
+        test instead of hanging it)."""
+        import threading
+
+        import repro.farm.scenarios as scenarios
+
+        real = scenarios.degrade_network
+        building = threading.Event()
+        release = threading.Event()
+        timed_out = []
+
+        def blocked(*args, **kwargs):
+            building.set()
+            if not release.wait(timeout=5):
+                timed_out.append(True)
+                release.set()
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(scenarios, "degrade_network", blocked)
+        yield building, release, timed_out
+        release.set()
+
+    def _finish(self, core, run_id):
+        run = core.jobs.get(run_id)
+        assert run.wait(120)
+        return _get(core, f"/jobs/{run_id}")[1]
+
+    def test_202_and_pending_while_the_build_is_blocked(self, core, gate):
+        building, release, timed_out = gate
+        status, document = _post(
+            core, "/jobs", dict(VALID_BODIES["/jobs"], sweep_failures=1)
+        )
+        assert status == 202
+        assert document["total"] == 9
+        assert document["state"] == "pending"
+        assert building.wait(30)
+        status, snapshot = _get(core, f"/jobs/{document['id']}")
+        assert status == 200
+        assert snapshot["state"] == "pending"
+        assert snapshot["total"] == 9 and snapshot["completed"] == 0
+        release.set()
+        final = self._finish(core, document["id"])
+        assert not timed_out
+        assert final["state"] == "done"
+        assert final["summary"]["satisfied"] == 7
+        assert final["summary"]["unsatisfied"] == 2
+
+    def test_probabilistic_total_is_known_before_the_build(self, core, gate):
+        building, release, _timed_out = gate
+        status, document = _post(
+            core, "/jobs",
+            dict(VALID_BODIES["/jobs"], prob_threshold=0.9, prob_limit=16),
+        )
+        assert status == 202
+        assert building.wait(30)
+        assert _get(core, f"/jobs/{document['id']}")[1]["state"] == "pending"
+        release.set()
+        final = self._finish(core, document["id"])
+        assert final["state"] == "done"
+        assert document["total"] == final["total"] == 16
+
+    def test_cancel_while_pending_runs_no_job(self, core, gate):
+        building, release, _timed_out = gate
+        _status, document = _post(
+            core, "/jobs", dict(VALID_BODIES["/jobs"], sweep_failures=1)
+        )
+        assert building.wait(30)
+        from repro.service.core import ServiceRequest
+
+        response = core.handle(ServiceRequest("DELETE", f"/jobs/{document['id']}"))
+        assert response.status == 200
+        assert json.loads(response.body)["state"] == "pending"
+        release.set()
+        final = self._finish(core, document["id"])
+        assert final["state"] == "cancelled"
+        assert final["completed"] == 0
+        assert final["items"] == []
+
+    def test_a_build_that_raises_ends_the_run_failed(self, core, monkeypatch):
+        import repro.farm.scenarios as scenarios
+
+        def broken(*args, **kwargs):
+            raise RuntimeError("variant build exploded")
+
+        monkeypatch.setattr(scenarios, "degrade_network", broken)
+        status, document = _post(
+            core, "/jobs", dict(VALID_BODIES["/jobs"], sweep_failures=1)
+        )
+        assert status == 202
+        final = self._finish(core, document["id"])
+        assert final["state"] == "failed"
+        assert "variant build exploded" in final["error"]
+        assert final["completed"] == 0
+
+    def test_the_quota_counts_a_pending_run(self, gate):
+        from repro.service.core import ServiceCore
+        from repro.service.ratelimit import RateLimitConfig, RateLimiter
+
+        building, release, _timed_out = gate
+        core = ServiceCore(
+            limiter=RateLimiter(RateLimitConfig(active_jobs_per_client=1))
+        )
+        try:
+            body = dict(VALID_BODIES["/jobs"], sweep_failures=1)
+            status, first = _post(core, "/jobs", body, client="alice")
+            assert status == 202
+            assert building.wait(30)
+            status, document = _post(core, "/jobs", body, client="alice")
+            assert status == 429
+            assert "quota" in document["error"]
+            assert _post(core, "/jobs", body, client="bob")[0] == 202
+            release.set()
+            assert core.jobs.get(first["id"]).wait(120)
+        finally:
+            release.set()
+            core.jobs.shutdown(timeout=30)
+
+
+class TestOneServiceCore:
+    """Both transports take the core's own cache and job manager."""
+
+    def test_default_job_manager_uses_the_active_store(self, tmp_path):
+        from repro.farm.store import configure_store, reset_store_for_tests
+        from repro.service.core import ServiceCore
+
+        store = configure_store(str(tmp_path / "store"))
+        try:
+            assert ServiceCore().jobs.store is store
+        finally:
+            configure_store(None)
+            reset_store_for_tests()
+        assert ServiceCore().jobs.store is None
+
+    def test_server_jobs_are_the_core_jobs(self, server):
+        assert server.jobs is server.core.jobs
+        assert not hasattr(server._httpd, "cache")
+        assert not hasattr(server._httpd, "jobs")
+
+    def test_server_store_reaches_the_core(self, tmp_path):
+        from repro.farm.store import configure_store, reset_store_for_tests
+
+        try:
+            with VerificationServer(port=0, store=str(tmp_path / "s")) as running:
+                assert running.jobs.store is not None
+                assert running.jobs.store.root == str(tmp_path / "s")
+        finally:
+            configure_store(None)
+            reset_store_for_tests()
