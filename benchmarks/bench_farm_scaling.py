@@ -9,18 +9,19 @@ link of the NORDUnet substitute (106 jobs, one degraded variant each)
 three ways and records the wall-clock ratio:
 
 * **naive serial** — what execution without the farm looks like: every
-  job materializes its own network from JSON and builds a fresh
-  engine, then verifies.
+  job deserializes the baseline from JSON, derives its variant and
+  builds a fresh engine, then verifies.
 * **farm, jobs=1** — the in-process serial path over the prebuilt
-  variants: each job still builds its own engine (microseconds), but no
-  network is deserialized.
+  baseline: each job still derives its variant and builds its own
+  engine, but no network is deserialized.
 * **farm, jobs=4** — the process pool; workers inherit the prebuilt
-  variants via fork, with jobs dispatched in variant-grouped chunks.
+  baseline via fork and derive the variants of their variant-grouped
+  chunks.
 
 The recorded ``speedup_jobs4`` (naive serial ÷ farm jobs=4) is the
 headline number; on a single core the win comes from reusing the
-prebuilt variants instead of deserializing one per job, and extra
-cores only widen it.
+prebuilt baseline instead of deserializing it per job, and extra
+cores widen it.
 Each mode is timed as the best of ``ROUNDS`` runs, the usual guard
 against scheduler noise on shared machines.
 
@@ -36,7 +37,7 @@ from typing import Dict, List, Tuple
 from benchmarks.common import nordunet_network, save_results
 from repro.datasets.queries import table1_queries
 from repro.farm.pool import FarmJob, run_jobs
-from repro.farm.scenarios import link_audit_scenarios, scenarios_to_jobs
+from repro.farm.scenarios import build_variant, link_audit_scenarios, scenarios_to_jobs
 from repro.io.json_format import network_from_json
 from repro.verification.batch import BatchItem, run_single
 
@@ -61,7 +62,8 @@ def run_naive(jobs: List[FarmJob], payloads: Dict[str, str]) -> List[BatchItem]:
     network materialization and engine build."""
     items = []
     for job in jobs:
-        network = network_from_json(payloads[job.network_key])
+        baseline = network_from_json(payloads[job.network_key])
+        network = build_variant(baseline, job.failed_links)
         engine = job.config.build(network)
         items.append(run_single(engine, job.name, job.query, job.timeout))
     return items
@@ -94,7 +96,7 @@ def run_scaling() -> Dict[str, object]:
 
     return {
         "jobs": len(jobs),
-        "variants": len(payloads),
+        "variants": len({(job.network_key, job.failed_links) for job in jobs}),
         "query": QUERY_NAME,
         "rounds": ROUNDS,
         "naive_serial_seconds": round(naive_seconds, 3),

@@ -5,9 +5,10 @@ dataplane (§4.2); this package exploits that structure:
 
 * :mod:`repro.farm.scenarios` — turn one network into a sweep of
   independent what-if jobs (failure combinations, per-link audits,
-  query suites);
+  query suites), each a baseline plus the links failed in it;
 * :mod:`repro.farm.pool` — execute jobs on a process pool, one engine
-  per job over the run's own networks, with crash containment;
+  per job on a variant the job derives from the run's baseline, with
+  crash containment;
 * :mod:`repro.farm.jobs` — asynchronous runs with live progress and
   cancellation (the server's job API);
 * :mod:`repro.farm.store` — the content-hash disk store that lets

@@ -47,7 +47,7 @@ _COUNTS = (
 
 
 class RunPlan(NamedTuple):
-    """A built sweep: the jobs with their networks (as
+    """A built sweep: the jobs with their baseline networks (as
     :func:`repro.farm.scenarios.scenarios_to_jobs` returns them), the
     lint findings by job index (:func:`~repro.farm.scenarios.preflight_index`)
     and, for a probabilistic sweep, the job-aligned scenario masses."""

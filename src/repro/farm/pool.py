@@ -5,16 +5,16 @@ variant, query) pair verified independently — so the pool is a thin,
 careful layer over :class:`concurrent.futures.ProcessPoolExecutor`:
 
 * **Picklable job specs.** A :class:`FarmJob` carries only strings: a
-  query, a content-hash key naming its network, and an
-  :class:`EngineConfig`. The network JSON payloads travel once per
-  worker (through the pool initializer), not once per job; the
-  in-process path reads the run's own networks instead.
+  query, a content-hash key naming its baseline network, the links
+  failed in its variant, and an :class:`EngineConfig`. The baseline
+  JSON travels once per worker (through the pool initializer), not
+  once per job; the in-process path reads the run's own baselines.
 * **Artifacts live as long as their run.** A job builds its own engine
-  (microseconds next to the verification). Its network comes from the
-  run: a run-local copy of the caller's pre-built variants in-process,
-  or the pool worker's :data:`_PREBUILT`, inherited outright under
-  ``fork`` and deserialized from the initializer payloads on first use
-  under ``spawn``/``forkserver``. Nothing outlives :func:`run_jobs`.
+  and derives its own variant from the run's baseline: a run-local
+  copy of the caller's pre-built baselines in-process, or the pool
+  worker's :data:`_PREBUILT`, inherited outright under ``fork`` and
+  deserialized from the initializer payloads on first use under
+  ``spawn``/``forkserver``. Nothing outlives :func:`run_jobs`.
 * **Crash and timeout containment.** A job that times out or raises a
   :class:`~repro.errors.ReproError` becomes a ``timeout``/``error``
   :class:`~repro.verification.batch.BatchItem`; a worker process that
@@ -31,10 +31,12 @@ from __future__ import annotations
 
 import concurrent.futures
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from repro import obs
 from repro.errors import FarmError
+from repro.farm.scenarios import build_variant
+from repro.farm.store import hash_text
 from repro.model.network import MplsNetwork
 from repro.verification.batch import BatchItem, run_single
 from repro.verification.engine import VerificationEngine, check_settings
@@ -47,7 +49,6 @@ class EngineConfig:
 
     backend: str = "poststar"
     use_reductions: bool = True
-    early_termination: bool = True
     #: Weight vector in CLI text form (``"hops, failures + 3*tunnels"``).
     weight: Optional[str] = None
     #: Static triage mode ("auto" / "off" / "only"); settled scenarios
@@ -95,7 +96,6 @@ class EngineConfig:
         return cls(
             backend=engine.backend,
             use_reductions=engine.use_reductions,
-            early_termination=engine.early_termination,
             weight=weight,
             triage=engine.triage,
         )
@@ -106,7 +106,6 @@ class EngineConfig:
             network,
             backend=self.backend,
             use_reductions=self.use_reductions,
-            early_termination=self.early_termination,
             weight=self.weight,
             triage=self.triage,
         )
@@ -115,27 +114,36 @@ class EngineConfig:
 @dataclass(frozen=True)
 class FarmJob:
     """One unit of farm work: verify ``query`` on the network whose
-    content hash is ``network_key`` with an engine built from ``config``."""
+    content hash is ``network_key``, with the links ``failed_links``
+    failed, on an engine built from ``config``."""
 
     name: str
     query: str
     network_key: str
     config: EngineConfig = EngineConfig()
     timeout: Optional[float] = None
+    failed_links: Tuple[str, ...] = ()
+
+    @property
+    def artifact_key(self) -> str:
+        """The variant's artifact-store key: the baseline's key, hashed
+        with the failed link names when there are any."""
+        links = self.failed_links
+        return hash_text("\n".join((self.network_key, *links))) if links else self.network_key
 
 
 # ----------------------------------------------------------------------
 # worker-side machinery
 # ----------------------------------------------------------------------
 
-#: Serialized networks this pool worker may build, keyed by content
+#: Serialized baselines this pool worker may build, keyed by content
 #: hash; filled by the pool initializer, in worker processes only.
 _NETWORK_PAYLOADS: Dict[str, str] = {}
 
-#: Built networks of this pool worker's sweep, keyed by content hash:
-#: inherited from the parent under the ``fork`` start method, otherwise
-#: deserialized from :data:`_NETWORK_PAYLOADS` on first use.
-_PREBUILT: Dict[str, MplsNetwork] = {}
+#: Built baselines of this pool worker's sweep by content hash (inherited
+#: under ``fork``, else deserialized from :data:`_NETWORK_PAYLOADS` on
+#: first use), and the current variant (see :func:`_network_for`).
+_PREBUILT: Dict[Hashable, MplsNetwork] = {}
 
 
 def _init_worker(payloads: Dict[str, str], observe: bool = False) -> None:
@@ -150,45 +158,56 @@ def _init_worker(payloads: Dict[str, str], observe: bool = False) -> None:
 
 
 def _network_for(
-    key: str,
+    job: FarmJob,
     payloads: Mapping[str, str],
-    built: Dict[str, MplsNetwork],
+    built: Dict[Hashable, MplsNetwork],
 ) -> MplsNetwork:
-    """The network named ``key``: the one in ``built``, or else its JSON
-    payload deserialized once and kept in ``built``.
+    """The network ``job`` runs on: its baseline (the one in ``built``,
+    or else its JSON payload deserialized once and kept in ``built``)
+    with the job's links failed.
 
-    A run executes only in the process that submitted it, so
-    ``payloads``/``built`` (the run's own, or a pool worker's module
-    globals) always hold every key of the run.
+    ``built`` keeps only the current variant, under its (baseline key,
+    failed links): chunks and serial runs take a variant's jobs in a
+    row. A run executes only in the process that submitted it, so
+    ``payloads``/``built`` always hold every baseline of the run.
     """
-    network = built.get(key)
-    if network is None:
+    key = job.network_key
+    baseline = built.get(key)
+    if baseline is None:
         payload = payloads.get(key)
         if payload is None:
             raise FarmError(f"no network registered under key {key[:12]}…")
         from repro.io.json_format import network_from_json
 
-        network = built[key] = network_from_json(payload)
-    return network
+        baseline = built[key] = network_from_json(payload)
+    if not job.failed_links:
+        return baseline
+    variant_key = (key, job.failed_links)
+    variant = built.get(variant_key)
+    if variant is None:
+        for stale in [other for other in built if isinstance(other, tuple)]:
+            del built[stale]
+        variant = built[variant_key] = build_variant(baseline, job.failed_links)
+    return variant
 
 
 def execute_job(
     job: FarmJob,
     payloads: Mapping[str, str],
-    built: Dict[str, MplsNetwork],
+    built: Dict[Hashable, MplsNetwork],
 ) -> BatchItem:
     """Run one job in this process on a fresh engine.
 
     This is the single verification code path of the farm: the process
     pool calls it in workers with the pool's module globals, and the
     ``max_workers <= 1`` fallback calls it inline with the run's own
-    ``payloads`` and a run-local copy of its pre-built networks.
+    ``payloads`` and a run-local copy of its pre-built baselines.
     """
-    network = _network_for(job.network_key, payloads, built)
+    network = _network_for(job, payloads, built)
     engine = job.config.build(network)
     # With a shared store attached, compiled queries of this network
     # variant are reusable across worker processes; the key names them.
-    engine.attach_artifact_key(job.network_key)
+    engine.attach_artifact_key(job.artifact_key)
     return run_single(engine, job.name, job.query, job.timeout)
 
 
@@ -198,8 +217,8 @@ def execute_chunk(
     """Run a batch of jobs in this process, containing per-job errors.
 
     The pool dispatches chunks grouped by network variant so that all
-    of a variant's queries run on one worker, which deserializes the
-    variant at most once.
+    of a variant's queries run on one worker, which builds the variant
+    once.
 
     Returns the items plus, when observation is on in this process, the
     metric delta the chunk produced (``None`` otherwise) so the driver
@@ -222,25 +241,25 @@ def execute_chunk(
 ProgressCallback = Callable[[int, int, BatchItem], None]
 
 
-def plan_chunks(network_keys: Sequence[str], max_workers: int) -> List[List[int]]:
-    """Group job indices (one per entry of ``network_keys``) into
+def plan_chunks(variant_keys: Sequence[Hashable], max_workers: int) -> List[List[int]]:
+    """Group job indices (one per entry of ``variant_keys``) into
     dispatch chunks.
 
-    Jobs sharing a network variant stay together so a worker without
-    the pre-built variant deserializes it once for all of them; variant
-    groups are then packed into ~4 chunks per worker — enough slack for
-    load balancing without a dispatch round-trip per job. A variant
-    whose group alone exceeds the per-chunk budget is *split* first:
-    without the split, a sweep over a single variant collapses into one
-    chunk and serializes on one worker no matter how many were asked
-    for (``tests/obs/test_farm_merge.py`` pins this down).
+    Jobs sharing a network variant stay together so a worker builds it
+    once for all of them; variant groups are then packed into ~4 chunks
+    per worker — enough slack for load balancing without a dispatch
+    round-trip per job. A variant whose group alone exceeds the
+    per-chunk budget is *split* first: without the split, a sweep over
+    a single variant collapses into one chunk and serializes on one
+    worker no matter how many were asked for
+    (``tests/obs/test_farm_merge.py`` pins this down).
     """
-    total = len(network_keys)
+    total = len(variant_keys)
     if total == 0:
         return []
     target = max(1, 4 * max_workers)
-    variant_indices: Dict[str, List[int]] = {}
-    for index, key in enumerate(network_keys):
+    variant_indices: Dict[Hashable, List[int]] = {}
+    for index, key in enumerate(variant_keys):
         variant_indices.setdefault(key, []).append(index)
     size_cap = max(1, -(-total // target))  # ceil(total / target)
     groups: List[List[int]] = []
@@ -264,8 +283,8 @@ def run_jobs(
 ) -> List[Optional[BatchItem]]:
     """Execute every job; returns items aligned with ``jobs``.
 
-    ``networks`` maps content-hash keys to network JSON; ``prebuilt``
-    optionally maps the same keys to already-built networks (shared
+    ``networks`` maps content-hash keys to baseline JSON; ``prebuilt``
+    optionally maps the same keys to already-built baselines (shared
     with forked workers for free, used directly in-process). The run
     keeps no network or engine after it returns. A slot is
     ``None`` only when ``cancelled()`` turned true before its job ran;
@@ -278,7 +297,7 @@ def run_jobs(
         return results
 
     if max_workers <= 1:
-        built = dict(prebuilt or {})
+        built: Dict[Hashable, MplsNetwork] = dict(prebuilt or {})
         for index, job in enumerate(jobs):
             if cancelled is not None and cancelled():
                 break
@@ -288,13 +307,15 @@ def run_jobs(
                 progress(index, total, item)
         return results
 
-    # Parent-side prebuilt networks become visible to fork()ed workers
+    # Parent-side prebuilt baselines become visible to fork()ed workers
     # through module globals; under spawn the initializer payload is
     # the (slower) fallback.
     if prebuilt:
         _PREBUILT.update(prebuilt)
     try:
-        chunks = plan_chunks([job.network_key for job in jobs], max_workers)
+        chunks = plan_chunks(
+            [(job.network_key, job.failed_links) for job in jobs], max_workers
+        )
         with concurrent.futures.ProcessPoolExecutor(
             max_workers=max_workers,
             initializer=_init_worker,
@@ -339,7 +360,7 @@ def run_jobs(
 def _safe_execute(
     job: FarmJob,
     payloads: Mapping[str, str],
-    built: Dict[str, MplsNetwork],
+    built: Dict[Hashable, MplsNetwork],
 ) -> BatchItem:
     """In-process execution with the pool's never-raise contract."""
     try:

@@ -5,11 +5,9 @@ The paper's operators ask families of questions, not single queries:
 of failures?", "for each of these 6,000 queries?". This module turns
 those families into explicit, independent :class:`Scenario`s —
 
-* :func:`failure_scenarios` — every ≤ k link-failure combination: each
-  combination is baked into a degraded network (the 𝓐 operator of
-  §2.4 partially evaluated, via
-  :func:`repro.model.srlg.degrade_network`) and the query's failure
-  bound is pinned to 0, answering the *deterministic* what-if question
+* :func:`failure_scenarios` — every ≤ k link-failure combination, as
+  the baseline network plus the links failed in it, with the query's
+  failure bound pinned to 0: the *deterministic* what-if question
   "given exactly these links are down, does a matching trace exist?";
 * :func:`link_audit_scenarios` — the ``k = 1`` survivability audit:
   one scenario per link, the sweep NetKAT-style tools run per
@@ -17,9 +15,12 @@ those families into explicit, independent :class:`Scenario`s —
 * :func:`suite_scenarios` — a query-file suite against the intact
   network (the §4.2 operator workload).
 
-Scenarios sharing a failure combination share one degraded network
-object, so :func:`scenarios_to_jobs` serializes each distinct variant
-once and hands the built object on to the run with its key.
+A combination's network (the 𝓐 operator of §2.4 partially evaluated
+by :func:`repro.model.srlg.degrade_network`) is built only where it is
+read: the farm job that verifies it derives its own, and
+:attr:`Scenario.network` builds one that every scenario of the
+combination shares. :func:`scenarios_to_jobs` serializes each distinct
+baseline once.
 """
 
 from __future__ import annotations
@@ -43,105 +44,95 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 QueriesArg = Union[str, Iterable[Union[str, Tuple[str, str]]]]
 
 
+def _variant_tag(failed_links: Sequence[str]) -> str:
+    """The name part of a variant: ``baseline`` or ``fail(a+b)``."""
+    return f"fail({'+'.join(failed_links)})" if failed_links else "baseline"
+
+
+def build_variant(baseline: MplsNetwork, failed_links: Sequence[str]) -> MplsNetwork:
+    """``baseline`` with the links ``failed_links`` failed, named
+    ``<baseline>@fail(a+b)``; the baseline itself when none fail."""
+    if not failed_links:
+        return baseline
+    failed = {baseline.topology.link(name) for name in failed_links}
+    # The module attribute, looked up per call, so a wrapper sees each build.
+    return degrade_network(
+        baseline, failed, name=f"{baseline.name}@{_variant_tag(failed_links)}"
+    )
+
+
+class Variant:
+    """A baseline with some links failed; its network is built on first
+    read and shared by every scenario holding this variant."""
+
+    def __init__(self, baseline: MplsNetwork, failed_links: Tuple[str, ...] = ()):
+        self.baseline = baseline
+        self.failed_links = failed_links
+        self._network: Optional[MplsNetwork] = None
+
+    @property
+    def network(self) -> MplsNetwork:
+        if self._network is None:
+            self._network = build_variant(self.baseline, self.failed_links)
+        return self._network
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One independent what-if instance: a query on a network variant."""
 
     name: str
-    network: MplsNetwork
+    variant: Variant
     query: str
-    #: Links assumed failed in this variant (empty for the baseline).
-    failed_links: Tuple[str, ...] = ()
     #: Pre-flight lint findings for the variant (see :func:`analyze`);
     #: populated only when the sweep was built with ``preflight=True``.
     diagnostics: Tuple["Diagnostic", ...] = ()
 
-    def __repr__(self) -> str:
-        failed = ",".join(self.failed_links) or "-"
-        return f"Scenario({self.name!r}, failed={failed})"
+    @property
+    def failed_links(self) -> Tuple[str, ...]:
+        """Links assumed failed in this variant (empty for the baseline)."""
+        return self.variant.failed_links
 
-
-#: Cross-call preflight memo: (rule-set hash, variant content hash) →
-#: network-level findings. Degraded variants are rebuilt per sweep, so
-#: an id()-keyed memo re-lints content-identical networks on every call;
-#: keying by content (and by the registered rule set, so registering or
-#: unregistering a rule invalidates naturally) makes repeated sweeps
-#: over the same topology lint-free.
-_NETWORK_LINT_MEMO: Dict[Tuple[str, str], Tuple["Diagnostic", ...]] = {}
-
-#: (rule-set hash, variant content hash, query text) → DP007 findings.
-#: Keyed by the query *text* — scenario names vary per sweep and must
-#: not break the memo.
-_QUERY_LINT_MEMO: Dict[Tuple[str, str, str], Tuple["Diagnostic", ...]] = {}
-
-#: Memo size caps; oldest entries are evicted first (insertion order).
-_MEMO_CAP = 256
-
-
-def _memo_put(memo: Dict, key: object, value: object) -> None:
-    if len(memo) >= _MEMO_CAP:
-        memo.pop(next(iter(memo)))
-    memo[key] = value
-
-
-def clear_preflight_memo() -> None:
-    """Drop the cross-call preflight memos (test isolation hook)."""
-    _NETWORK_LINT_MEMO.clear()
-    _QUERY_LINT_MEMO.clear()
+    @property
+    def network(self) -> MplsNetwork:
+        """The variant's network, built on first read."""
+        return self.variant.network
 
 
 def preflight_scenarios(scenarios: List[Scenario]) -> List[Scenario]:
     """Lint every distinct network variant and attach the findings.
 
-    Scenarios sharing a variant (the common case: one degraded network
-    × many queries) are linted once — the lint cost of a sweep is per
-    *variant*, not per job — and the results are memoized across calls
-    by variant *content*, so re-running a sweep (or sweeping overlapping
-    link sets) never re-lints a network whose diagnostics cannot have
-    changed. Failure combinations are already baked into the variants,
-    so each is linted with an empty assumed-failure set. Each scenario
+    Reads, and so builds, each scenario's network. Scenarios sharing a
+    variant (the common case: one degraded network × many queries) are
+    linted once, so the lint cost of a sweep is per *variant*, not per
+    job. Failure combinations are already baked into the variants, so
+    each is linted with an empty assumed-failure set. Each scenario
     additionally gets the query-aware findings (DP007) for its own
-    query, memoized per (variant, query text).
+    query, once per (variant, query text).
     """
     from repro import obs
     from repro.analysis import LintConfig, analyze, rule_codes
-    from repro.farm.store import hash_text
-    from repro.io.json_format import network_to_json
 
-    ruleset = hash_text(",".join(rule_codes()))
-    fingerprint_of: Dict[int, str] = {}
+    found: Dict[Tuple[int, Optional[str]], Tuple["Diagnostic", ...]] = {}
+
+    def lint(network: MplsNetwork, query: Optional[str] = None) -> Tuple["Diagnostic", ...]:
+        key = (id(network), query)
+        if key not in found:
+            obs.add("farm.preflight.lint_runs")
+            if query is None:
+                found[key] = analyze(network).diagnostics
+            else:
+                found[key] = analyze(
+                    network, config=LintConfig.of(enabled=["DP007"]),
+                    queries=[("query", query)],
+                ).diagnostics
+        return found[key]
+
+    query_rule = "DP007" in rule_codes()
     attached: List[Scenario] = []
     for scenario in scenarios:
-        fingerprint = fingerprint_of.get(id(scenario.network))
-        if fingerprint is None:
-            fingerprint = hash_text(network_to_json(scenario.network))
-            fingerprint_of[id(scenario.network)] = fingerprint
-
-        network_key = (ruleset, fingerprint)
-        network_findings = _NETWORK_LINT_MEMO.get(network_key)
-        if network_findings is None:
-            obs.add("farm.preflight.lint_runs")
-            network_findings = analyze(scenario.network).diagnostics
-            _memo_put(_NETWORK_LINT_MEMO, network_key, network_findings)
-        else:
-            obs.add("farm.preflight.memo_hits")
-
-        query_findings: Tuple["Diagnostic", ...] = ()
-        if "DP007" in rule_codes():
-            query_key = (ruleset, fingerprint, scenario.query)
-            query_findings = _QUERY_LINT_MEMO.get(query_key)  # type: ignore[assignment]
-            if query_findings is None:
-                obs.add("farm.preflight.lint_runs")
-                query_findings = analyze(
-                    scenario.network,
-                    config=LintConfig.of(enabled=["DP007"]),
-                    queries=[("query", scenario.query)],
-                ).diagnostics
-                _memo_put(_QUERY_LINT_MEMO, query_key, query_findings)
-            else:
-                obs.add("farm.preflight.memo_hits")
-
-        findings = network_findings + query_findings
+        network = scenario.network
+        findings = lint(network) + (lint(network, scenario.query) if query_rule else ())
         attached.append(
             replace(scenario, diagnostics=findings) if findings else scenario
         )
@@ -173,15 +164,14 @@ def _named_queries(queries: QueriesArg) -> List[Tuple[str, str]]:
     return named
 
 
-def _pin_failures(query_text: str, max_failures: int = 0) -> str:
-    """Rewrite the query's trailing failure bound ``k``.
+def _pin_failures(query_text: str) -> str:
+    """Rewrite the query's trailing failure bound ``k`` to 0.
 
-    Failure combinations are made explicit in the degraded network, so
+    Failure combinations are made explicit in the variant network, so
     the query itself must stop hypothesizing further failures.
     """
     query = parse_query(query_text)
-    pinned = Query(query.initial_header, query.path, query.final_header, max_failures)
-    return str(pinned)
+    return str(Query(query.initial_header, query.path, query.final_header, 0))
 
 
 def sweep_size(
@@ -231,15 +221,6 @@ def plan_failure_sweep(
     return [(name, _pin_failures(text)) for name, text in named], candidates, total
 
 
-def _variant(network: MplsNetwork, combo: Tuple[str, ...]) -> Tuple[str, MplsNetwork]:
-    """The scenario tag and the network with the links ``combo`` failed."""
-    if not combo:
-        return "baseline", network
-    tag = f"fail({'+'.join(combo)})"
-    failed = {network.topology.link(name) for name in combo}
-    return tag, degrade_network(network, failed, name=f"{network.name}@{tag}")
-
-
 def failure_scenarios(
     network: MplsNetwork,
     queries: QueriesArg,
@@ -255,8 +236,9 @@ def failure_scenarios(
     ``limit`` guards against combinatorial blow-up (the checks are
     :func:`plan_failure_sweep`'s). ``include_baseline`` adds the
     zero-failure scenario so a sweep also certifies the intact network.
-    With ``preflight=True`` each degraded variant is statically linted
-    (:func:`repro.analysis.analyze`) and the findings are attached to
+    No variant network is built here. With ``preflight=True`` each
+    variant is built and statically linted
+    (:func:`repro.analysis.analyze`), and the findings are attached to
     its scenarios.
     """
     pinned, candidates, _total = plan_failure_sweep(
@@ -267,15 +249,11 @@ def failure_scenarios(
         combos.extend(itertools.combinations(candidates, size))
     scenarios: List[Scenario] = []
     for combo in combos:
-        tag, variant = _variant(network, combo)
+        variant = Variant(network, combo)
+        tag = _variant_tag(combo)
         for query_name, query_text in pinned:
             scenarios.append(
-                Scenario(
-                    name=f"{query_name}@{tag}",
-                    network=variant,
-                    query=query_text,
-                    failed_links=combo,
-                )
+                Scenario(name=f"{query_name}@{tag}", variant=variant, query=query_text)
             )
     return preflight_scenarios(scenarios) if preflight else scenarios
 
@@ -327,14 +305,12 @@ def probabilistic_scenarios(
             masses[existing] += outcome.probability
             continue
         combo = tuple(sorted(key))
-        tag, variant = _variant(network, combo)
         index_of[key] = len(scenarios)
         scenarios.append(
             Scenario(
-                name=f"{query_name}@{tag}",
-                network=variant,
+                name=f"{query_name}@{_variant_tag(combo)}",
+                variant=Variant(network, combo),
                 query=pinned,
-                failed_links=combo,
             )
         )
         masses.append(outcome.probability)
@@ -345,8 +321,9 @@ def suite_scenarios(
     network: MplsNetwork, queries: QueriesArg, preflight: bool = False
 ) -> List[Scenario]:
     """A query suite against the intact network, one scenario per query."""
+    variant = Variant(network)
     scenarios = [
-        Scenario(name=name, network=network, query=text)
+        Scenario(name=name, variant=variant, query=text)
         for name, text in _named_queries(queries)
     ]
     return preflight_scenarios(scenarios) if preflight else scenarios
@@ -360,10 +337,11 @@ def scenarios_to_jobs(
     """Lower scenarios to the pool's job representation.
 
     Returns ``(jobs, payloads, prebuilt)``: the picklable job specs,
-    the distinct network JSON payloads keyed by content hash, and the
-    already-built network objects under the same keys (handed to forked
-    workers for free). Scenarios sharing a network object serialize it
-    once.
+    the distinct *baseline* networks' JSON payloads keyed by content
+    hash, and the baseline objects under the same keys (handed to forked
+    workers for free). Each job names its baseline's key and its failed
+    links; the worker derives the variant. No variant is built or
+    serialized here.
     """
     from repro.farm.store import hash_text
     from repro.farm.pool import EngineConfig, FarmJob
@@ -376,13 +354,14 @@ def scenarios_to_jobs(
     key_of: Dict[int, str] = {}
     jobs: List[FarmJob] = []
     for scenario in scenarios:
-        key = key_of.get(id(scenario.network))
+        baseline = scenario.variant.baseline
+        key = key_of.get(id(baseline))
         if key is None:
-            payload = network_to_json(scenario.network)
+            payload = network_to_json(baseline)
             key = hash_text(payload)
-            key_of[id(scenario.network)] = key
+            key_of[id(baseline)] = key
             payloads[key] = payload
-            prebuilt[key] = scenario.network
+            prebuilt[key] = baseline
         jobs.append(
             FarmJob(
                 name=scenario.name,
@@ -390,6 +369,7 @@ def scenarios_to_jobs(
                 network_key=key,
                 config=config,
                 timeout=timeout,
+                failed_links=scenario.failed_links,
             )
         )
     return jobs, payloads, prebuilt

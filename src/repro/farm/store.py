@@ -124,16 +124,16 @@ class SharedArtifactStore:
     # ------------------------------------------------------------------
     def get_object(self, kind: str, key: str) -> Optional[Any]:
         """A stored pickled artifact, or None (also on a corrupt file)."""
-        data = self.get_bytes(kind, key)
-        if data is None:
-            return None
+        data = self._read(self.path_for(kind, key))
         try:
-            return pickle.loads(data)
+            value = None if data is None else pickle.loads(data)
         except Exception:
             # A torn or version-skewed artifact is a miss, not an error:
             # the caller rebuilds and republishes.
-            obs.add("farm.store.put_failures")
-            return None
+            obs.add("farm.store.read_failures")
+            value = data = None
+        obs.add("farm.store.hits" if data is not None else "farm.store.misses")
+        return value
 
     def put_object(self, kind: str, key: str, value: Any) -> bool:
         """Publish a pickled artifact; False (counted) when ``value``

@@ -100,7 +100,6 @@ class VerificationEngine:
 
     * ``backend`` — saturation direction (``"poststar"`` / ``"prestar"``);
     * ``use_reductions`` — run the static PDA reductions first;
-    * ``early_termination`` — stop saturation at the target transition;
     * ``weight`` — a :class:`WeightVector` (or its textual form) enabling
       the quantitative engine; None keeps the boolean engine;
     * ``core`` — saturation representation: the dense-id ``"interned"``
@@ -118,7 +117,6 @@ class VerificationEngine:
         network: MplsNetwork,
         backend: str = "poststar",
         use_reductions: bool = True,
-        early_termination: bool = True,
         weight: Union[WeightVector, str, None] = None,
         distance_of: Optional[Callable[[Link], int]] = None,
         name: Optional[str] = None,
@@ -128,7 +126,6 @@ class VerificationEngine:
         self.network = network
         self.backend = backend
         self.use_reductions = use_reductions
-        self.early_termination = early_termination
         if core not in ("interned", "tuple"):
             raise VerificationError(
                 f"unknown solver core {core!r} (expected interned or tuple)"
@@ -319,7 +316,6 @@ class VerificationEngine:
             compiled.target,
             method=self.backend,
             use_reductions=self.use_reductions,
-            early_termination=self.early_termination,
             want_witness=True,
             deadline=deadline,
             core=self.core,
@@ -401,7 +397,6 @@ def moped_engine(network: MplsNetwork, **kwargs) -> VerificationEngine:
     return VerificationEngine(
         network,
         backend="moped",
-        early_termination=False,
         name="moped",
         **kwargs,
     )

@@ -10,7 +10,6 @@ import pytest
 from repro.datasets.example import EXAMPLE_QUERIES, build_example_network
 from repro.farm.jobs import DONE, JobManager, RunPlan
 from repro.farm.scenarios import (
-    clear_preflight_memo,
     failure_scenarios,
     preflight_index,
     preflight_scenarios,
@@ -21,15 +20,6 @@ from repro.verification.batch import BatchVerifier
 from repro.verification.engine import VerificationEngine
 
 PHI0 = EXAMPLE_QUERIES[0][1]
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    """The preflight lint memo is process-global and content-keyed, so
-    earlier tests' runs would satisfy later counts; start each clean."""
-    clear_preflight_memo()
-    yield
-    clear_preflight_memo()
 
 
 @pytest.fixture(scope="module")
@@ -73,8 +63,7 @@ class TestScenarioPreflight:
         )
         variants = {id(s.network) for s in scenarios}
         # One network lint per variant, plus one DP007 query lint per
-        # (variant, query) pair — each memoized by content, so no
-        # variant or query pays twice.
+        # (variant, query) pair, so no variant or query pays twice.
         assert len(calls) == len(variants) * (1 + len(queries))
         assert len(scenarios) == len(variants) * len(queries)
 

@@ -1,32 +1,13 @@
-"""Regression: preflight must not re-lint variants whose diagnostics
-cannot change.
-
-Degraded variants are rebuilt object-by-object on every sweep, so an
-``id()``-keyed memo re-ran the full lint per variant per call. The memo
-is keyed by variant *content* (and the registered rule set) instead,
-making repeated sweeps lint-free; DP007 findings are memoized per
-(variant, query text) so scenario naming cannot break the cache.
-"""
+"""Preflight lints each (variant, query text) pair for DP007: distinct
+queries on one network are linted separately, and the findings reach
+the scenario."""
 
 import pytest
 
-from repro import obs
 from repro.datasets.example import build_example_network
-from repro.farm.scenarios import (
-    clear_preflight_memo,
-    link_audit_scenarios,
-    preflight_scenarios,
-    suite_scenarios,
-)
+from repro.farm.scenarios import suite_scenarios
 
 QUERY = "<ip> [.#v0] .* [v3#.] <ip> 0"
-
-
-@pytest.fixture(autouse=True)
-def fresh_memo():
-    clear_preflight_memo()
-    yield
-    clear_preflight_memo()
 
 
 @pytest.fixture
@@ -45,45 +26,12 @@ def analyze_calls(monkeypatch):
     return calls
 
 
-def test_repeated_sweep_is_lint_free(analyze_calls):
-    network = build_example_network()
-    first = link_audit_scenarios(network, QUERY, preflight=True)
-    runs_after_first = len(analyze_calls)
-    assert runs_after_first > 0
-    second = link_audit_scenarios(network, QUERY, preflight=True)
-    assert len(analyze_calls) == runs_after_first, (
-        "second identical sweep re-ran the linter on content-identical variants"
-    )
-    assert [s.diagnostics for s in first] == [s.diagnostics for s in second]
-
-
-def test_scenario_names_do_not_break_the_memo(analyze_calls):
-    """The DP007 memo keys by query *text*: two suites naming the same
-    query differently must share one lint run."""
-    network = build_example_network()
-    suite_scenarios(network, [("alpha", QUERY)], preflight=True)
-    runs = len(analyze_calls)
-    suite_scenarios(network, [("beta", QUERY)], preflight=True)
-    assert len(analyze_calls) == runs
-
-
 def test_distinct_queries_are_linted_separately(analyze_calls):
     network = build_example_network()
     suite_scenarios(network, [QUERY], preflight=True)
     runs = len(analyze_calls)
     suite_scenarios(network, ["<ip ip> .* <ip> 0"], preflight=True)
     assert len(analyze_calls) > runs
-
-
-def test_memo_hits_are_observable():
-    network = build_example_network()
-    scenarios = suite_scenarios(network, [QUERY])
-    with obs.recording():
-        preflight_scenarios(scenarios)
-        preflight_scenarios(scenarios)
-        counters = obs.counters()
-    assert counters.get("farm.preflight.lint_runs", 0) == 2  # network + query
-    assert counters.get("farm.preflight.memo_hits", 0) == 2
 
 
 def test_preflight_attaches_dp007_findings():

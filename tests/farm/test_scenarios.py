@@ -98,9 +98,12 @@ class TestScenariosToJobs:
         )
         jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
         assert len(jobs) == 27
-        assert len(payloads) == 9
+        assert len(payloads) == 1  # the baseline; jobs name their links
         assert set(payloads) == set(prebuilt)
         assert {job.network_key for job in jobs} == set(payloads)
+        assert [job.failed_links for job in jobs] == [
+            scenario.failed_links for scenario in scenarios
+        ]
 
     def test_timeout_and_config_propagate(self, network):
         from repro.farm.pool import EngineConfig
@@ -112,3 +115,80 @@ class TestScenariosToJobs:
         )
         assert jobs[0].config == config
         assert jobs[0].timeout == 2.5
+
+
+@pytest.fixture()
+def builds(monkeypatch):
+    """Counts every variant network built through the farm."""
+    import repro.farm.scenarios as scenarios
+
+    names = []
+    real = scenarios.degrade_network
+
+    def counting(network, failed, name=None):
+        names.append(name)
+        return real(network, failed, name=name)
+
+    monkeypatch.setattr(scenarios, "degrade_network", counting)
+    return names
+
+
+class TestLazyVariants:
+    """A variant is its baseline and failed links until something reads
+    its network: sweeps build nothing up front, and a job or a
+    combination builds its variant once."""
+
+    def test_sweeps_build_no_network(self, network, builds):
+        from repro.farm.scenarios import probabilistic_scenarios
+        from repro.prob.sweep import plan_sweep
+
+        failure_scenarios(network, list(EXAMPLE_QUERIES[:2]), max_failures=1)
+        enumerated = plan_sweep(network, PHI0, threshold=0.99, default=0.01)
+        scenarios, _masses = probabilistic_scenarios(network, PHI0, enumerated)
+        assert len(scenarios) == 209
+        assert builds == []
+
+    def test_early_exit_builds_at_most_the_verified_variants(self, network, builds):
+        from repro.prob.sweep import run_probabilistic_sweep
+
+        result = run_probabilistic_sweep(network, PHI0, threshold=0.99, default=0.01)
+        assert result.early_exit
+        assert result.scenarios_verified == 9
+        assert result.scenarios_enumerated == 209
+        assert 0 < len(builds) <= result.scenarios_verified
+
+    def test_network_is_built_once_per_combination(self, network, builds):
+        scenarios = failure_scenarios(
+            network, list(EXAMPLE_QUERIES[:2]), max_failures=1
+        )
+        builds.clear()
+        networks = [scenario.network for scenario in scenarios]
+        networks += [scenario.network for scenario in scenarios]
+        assert len(builds) == 8  # the baseline combination is the network
+        assert len(set(builds)) == 8
+        assert len({id(variant) for variant in networks}) == 9
+        assert "running-example@fail(e4)" in builds
+
+    def test_in_process_run_builds_each_variant_once(self, network, builds):
+        from repro.farm.pool import run_jobs
+
+        scenarios = failure_scenarios(
+            network, list(EXAMPLE_QUERIES[:3]), max_failures=1
+        )
+        jobs, payloads, prebuilt = scenarios_to_jobs(scenarios)
+        builds.clear()
+        items = run_jobs(jobs, payloads, max_workers=1, prebuilt=prebuilt)
+        assert "error" not in [item.outcome for item in items]
+        assert sorted(builds) == sorted(set(builds))
+        assert len(builds) == 8
+
+    def test_job_store_keys_name_the_variant(self, network):
+        scenarios = failure_scenarios(network, PHI0, max_failures=1)
+        jobs, _payloads, _prebuilt = scenarios_to_jobs(scenarios)
+        keys = [job.artifact_key for job in jobs]
+        assert keys[0] == jobs[0].network_key  # the baseline's own key
+        assert len(set(keys)) == len(jobs)
+        again, _payloads, _prebuilt = scenarios_to_jobs(
+            failure_scenarios(network, PHI0, max_failures=1)
+        )
+        assert [job.artifact_key for job in again] == keys

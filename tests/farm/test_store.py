@@ -121,7 +121,10 @@ class TestPickleFailures:
         store.put_bytes("compiled", KEY, b"\x80\x04 definitely not pickle")
         with obs.recording():
             assert store.get_object("compiled", KEY) is None
-            assert obs.counter("farm.store.put_failures") == 1
+            assert obs.counter("farm.store.read_failures") == 1
+            assert obs.counter("farm.store.misses") == 1
+            assert obs.counter("farm.store.hits") == 0
+            assert obs.counter("farm.store.put_failures") == 0
 
 
 class TestJobSnapshots:

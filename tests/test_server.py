@@ -1359,18 +1359,18 @@ class TestRequestSchema:
 
 class TestJobsAnswerBeforeBuilding:
     """``POST /jobs`` checks the body and sizes the sweep in the request
-    thread, answers 202, and builds the variants in the run's thread."""
+    thread, answers 202, and builds the sweep in the run's thread."""
 
     @pytest.fixture()
     def gate(self, monkeypatch):
-        """Blocks every variant build until the test opens it (for at
-        most 5 s, so a server that builds before answering fails the
-        test instead of hanging it)."""
+        """Blocks the sweep's build (at ``scenarios_to_jobs``) until the
+        test opens it (for at most 5 s, so a server that builds before
+        answering fails the test instead of hanging it)."""
         import threading
 
         import repro.farm.scenarios as scenarios
 
-        real = scenarios.degrade_network
+        real = scenarios.scenarios_to_jobs
         building = threading.Event()
         release = threading.Event()
         timed_out = []
@@ -1382,7 +1382,7 @@ class TestJobsAnswerBeforeBuilding:
                 release.set()
             return real(*args, **kwargs)
 
-        monkeypatch.setattr(scenarios, "degrade_network", blocked)
+        monkeypatch.setattr(scenarios, "scenarios_to_jobs", blocked)
         yield building, release, timed_out
         release.set()
 
@@ -1448,7 +1448,7 @@ class TestJobsAnswerBeforeBuilding:
         def broken(*args, **kwargs):
             raise RuntimeError("variant build exploded")
 
-        monkeypatch.setattr(scenarios, "degrade_network", broken)
+        monkeypatch.setattr(scenarios, "scenarios_to_jobs", broken)
         status, document = _post(
             core, "/jobs", dict(VALID_BODIES["/jobs"], sweep_failures=1)
         )
@@ -1457,6 +1457,28 @@ class TestJobsAnswerBeforeBuilding:
         assert final["state"] == "failed"
         assert "variant build exploded" in final["error"]
         assert final["completed"] == 0
+
+    @pytest.mark.parametrize(
+        "extra", [{"sweep_failures": 1}, {"prob_threshold": 0.9}], ids=["k1", "prob"]
+    )
+    def test_a_run_cancelled_after_its_202_stops(self, core, extra):
+        """The run's build serializes the baseline and builds no variant,
+        so a NORDUnet sweep cancelled at once ends within 2 s of the
+        DELETE."""
+        import time
+
+        from repro.service.core import ServiceRequest
+
+        core.cache.key_of("nordunet")  # loaded once, as on a running server
+        body = dict(network="nordunet", query="<smpls? ip> .* <. smpls ip> 0", **extra)
+        status, document = _post(core, "/jobs", body)
+        assert status == 202
+        start = time.perf_counter()
+        response = core.handle(ServiceRequest("DELETE", f"/jobs/{document['id']}"))
+        assert response.status == 200
+        assert core.jobs.get(document["id"]).wait(2)
+        assert time.perf_counter() - start <= 2
+        assert _get(core, f"/jobs/{document['id']}")[1]["state"] == "cancelled"
 
     def test_the_quota_counts_a_pending_run(self, gate):
         from repro.service.core import ServiceCore
